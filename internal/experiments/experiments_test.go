@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/mat"
+	"repro/internal/monitor"
 )
 
 // benchAssets builds (once) the shared bench-scale assets for all tests in
@@ -206,6 +208,9 @@ func TestFig2FindsFlip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !res.Found {
+		t.Fatal("no flip found on the bench assets")
+	}
 	if res.MaxInputChange > 0.2+1e-9 {
 		t.Fatalf("L∞ change %v exceeds ε", res.MaxInputChange)
 	}
@@ -214,6 +219,42 @@ func TestFig2FindsFlip(t *testing.T) {
 	}
 	if !strings.Contains(res.Render(), "UNSAFE") {
 		t.Error("render missing verdicts")
+	}
+}
+
+// TestFig2NoFlipRendersExplicitResult drives the selection with verdicts
+// where the attack flips no correctly detected unsafe sample: a missed
+// unsafe sample, a safe sample flipped the other way, and an unsafe sample
+// that stays unsafe. Fig 2 must report that outcome, not fail.
+func TestFig2NoFlipRendersExplicitResult(t *testing.T) {
+	x := mat.New(3, 8)
+	adv := mat.New(3, 8)
+	adv.Fill(0.2)
+	labels := []int{1, 0, 1}
+	origV := []monitor.Verdict{{Unsafe: false, Confidence: 0.9}, {Unsafe: false, Confidence: 0.8}, {Unsafe: true, Confidence: 0.9}}
+	advV := []monitor.Verdict{{Unsafe: false, Confidence: 0.9}, {Unsafe: true, Confidence: 0.7}, {Unsafe: true, Confidence: 0.6}}
+	res, err := fig2Pick(x, adv, labels, origV, advV, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Found || res.SampleIndex != -1 || res.OriginalFeatures != nil {
+		t.Fatalf("no-flip result names a sample: %+v", res)
+	}
+	want := "Fig 2: Example FGSM Attack on a Baseline Monitor\n" +
+		"simulator=glucosym monitor=mlp ε=0.20\n" +
+		"no correctly detected unsafe sample flips at ε=0.20\n"
+	if got := res.Render(); got != want {
+		t.Fatalf("Render() = %q, want %q", got, want)
+	}
+
+	// Flip the last sample: the same inputs must now yield it.
+	advV[2] = monitor.Verdict{Unsafe: false, Confidence: 0.6}
+	res, err = fig2Pick(x, adv, labels, origV, advV, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Found || res.SampleIndex != 2 || res.MaxInputChange != 0.2 {
+		t.Fatalf("flip not selected: %+v", res)
 	}
 }
 

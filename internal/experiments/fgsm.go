@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/mat"
+	"repro/internal/monitor"
 	"repro/internal/sweep"
 )
 
@@ -62,12 +63,15 @@ func (r *Fig8Result) Render() string {
 
 // Fig2Result reproduces Fig. 2: a single FGSM attack that flips a correct
 // unsafe verdict (with high confidence) to a confident safe verdict while
-// only minutely changing the input.
+// only minutely changing the input. Found is false when no correctly
+// detected unsafe sample flips at Epsilon; the result then names no
+// sample and renders that outcome instead of an example.
 type Fig2Result struct {
 	Simulator        string
 	Monitor          string
 	Epsilon          float64
-	SampleIndex      int
+	Found            bool
+	SampleIndex      int     // -1 when !Found
 	OrigConfidence   float64 // P(unsafe) before the attack
 	AdvConfidence    float64 // P(safe) after the attack
 	MaxInputChange   float64 // L∞ of the normalized perturbation
@@ -101,40 +105,48 @@ func Fig2(a *Assets) (*Fig2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	best := -1
+	return fig2Pick(x, adv, labels, origV, advV, eps)
+}
+
+// fig2Pick selects, among the correctly detected unsafe samples the attack
+// flipped to safe, the one with the highest combined confidence.
+func fig2Pick(x, adv *mat.Matrix, labels []int, origV, advV []monitor.Verdict, eps float64) (*Fig2Result, error) {
+	res := &Fig2Result{Simulator: "glucosym", Monitor: "mlp", Epsilon: eps, SampleIndex: -1}
 	bestConf := 0.0
 	for i := range origV {
 		// Correctly detected unsafe sample flipped to safe by the attack.
 		if labels[i] == 1 && origV[i].Unsafe && !advV[i].Unsafe {
 			if conf := origV[i].Confidence + advV[i].Confidence; conf > bestConf {
-				best, bestConf = i, conf
+				res.SampleIndex, bestConf = i, conf
 			}
 		}
 	}
+	best := res.SampleIndex
 	if best < 0 {
-		return nil, fmt.Errorf("fig2: no flipped unsafe sample found at ε=%v", eps)
+		return res, nil
 	}
 	diff, err := mat.SubM(adv, x)
 	if err != nil {
 		return nil, err
 	}
-	return &Fig2Result{
-		Simulator:        "glucosym",
-		Monitor:          "mlp",
-		Epsilon:          eps,
-		SampleIndex:      best,
-		OrigConfidence:   origV[best].Confidence,
-		AdvConfidence:    advV[best].Confidence,
-		MaxInputChange:   diff.MaxAbs(),
-		OriginalFeatures: append([]float64(nil), x.Row(best)...),
-		AdvFeatures:      append([]float64(nil), adv.Row(best)...),
-	}, nil
+	res.Found = true
+	res.OrigConfidence = origV[best].Confidence
+	res.AdvConfidence = advV[best].Confidence
+	res.MaxInputChange = diff.MaxAbs()
+	res.OriginalFeatures = append([]float64(nil), x.Row(best)...)
+	res.AdvFeatures = append([]float64(nil), adv.Row(best)...)
+	return res, nil
 }
 
 // Render formats the Fig. 2 example.
 func (r *Fig2Result) Render() string {
 	var sb strings.Builder
 	sb.WriteString("Fig 2: Example FGSM Attack on a Baseline Monitor\n")
+	if !r.Found {
+		fmt.Fprintf(&sb, "simulator=%s monitor=%s ε=%.2f\n", r.Simulator, r.Monitor, r.Epsilon)
+		fmt.Fprintf(&sb, "no correctly detected unsafe sample flips at ε=%.2f\n", r.Epsilon)
+		return sb.String()
+	}
 	fmt.Fprintf(&sb, "simulator=%s monitor=%s ε=%.2f sample=%d\n", r.Simulator, r.Monitor, r.Epsilon, r.SampleIndex)
 	fmt.Fprintf(&sb, "before: UNSAFE with %.2f%% confidence\n", 100*r.OrigConfidence)
 	fmt.Fprintf(&sb, "after:  SAFE   with %.2f%% confidence (L∞ input change %.3f)\n", 100*r.AdvConfidence, r.MaxInputChange)

@@ -1,12 +1,16 @@
 package mat
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
 
-// Naive reference kernels with the exact rounding order of the pre-tiling
-// implementations: one += per k-contribution, zero multipliers skipped.
+// Naive reference kernels with the exact rounding order every kernel path
+// must reproduce: one rounded multiply and one rounded add per
+// k-contribution, in ascending k. MatMul and TMatMul skip zero multipliers;
+// the a × bᵀ dot product adds every product.
 
 func naiveMatMul(a, b *Matrix) *Matrix {
 	out := New(a.rows, b.cols)
@@ -19,7 +23,7 @@ func naiveMatMul(a, b *Matrix) *Matrix {
 			}
 			brow := b.data[k*b.cols : (k+1)*b.cols]
 			for j, bv := range brow {
-				orow[j] += av * bv
+				orow[j] += float64(av * bv)
 			}
 		}
 	}
@@ -34,7 +38,7 @@ func naiveMatMulT(a, b *Matrix) *Matrix {
 			brow := b.data[j*b.cols : (j+1)*b.cols]
 			var sum float64
 			for k, av := range arow {
-				sum += av * brow[k]
+				sum += float64(av * brow[k])
 			}
 			out.data[i*out.cols+j] = sum
 		}
@@ -42,8 +46,9 @@ func naiveMatMulT(a, b *Matrix) *Matrix {
 	return out
 }
 
-func naiveTMatMul(a, b *Matrix) *Matrix {
-	out := New(a.cols, b.cols)
+// naiveTMatMulAdd returns base + aᵀ × b, accumulated onto a copy of base.
+func naiveTMatMulAdd(base, a, b *Matrix) *Matrix {
+	out := base.Clone()
 	for k := 0; k < a.rows; k++ {
 		arow := a.data[k*a.cols : (k+1)*a.cols]
 		brow := b.data[k*b.cols : (k+1)*b.cols]
@@ -53,61 +58,216 @@ func naiveTMatMul(a, b *Matrix) *Matrix {
 			}
 			orow := out.data[i*out.cols : (i+1)*out.cols]
 			for j, bv := range brow {
-				orow[j] += av * bv
+				orow[j] += float64(av * bv)
 			}
 		}
 	}
 	return out
 }
 
-// TestTiledKernelsBitIdenticalToNaive pins the "tiling is bit-invisible"
-// contract: the unrolled kernels must reproduce the naive one-add-per-k
-// rounding sequence exactly, including on ReLU-like sparse inputs that
-// exercise the zero-skip fallback paths, at shapes that hit both the
-// unrolled body and the tail loops.
+// nanOperands holds 0 and +Inf so the test NaN is made at run time, by
+// the FPU, rather than folded by the compiler.
+var nanOperands = []float64{0, math.Inf(1)}
+
+// testNaN is the NaN the FPU itself generates (0·Inf). Using it as the NaN
+// operand makes every NaN in a test carry the same bits, so the comparison
+// stays exact: which of two NaN addends propagates is not part of the
+// contract, because Go's compiler commutes float additions freely.
+var testNaN = nanOperands[0] * nanOperands[1]
+
+// kernelPaths runs f once per kernel path available on this machine, AVX
+// and pure Go, restoring the start-up selection afterwards.
+func kernelPaths(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	defer func(saved bool) { useAVX = saved }(useAVX)
+	for _, p := range []struct {
+		name string
+		avx  bool
+	}{{"avx", true}, {"generic", false}} {
+		t.Run(p.name, func(t *testing.T) {
+			if p.avx && !detectAVX() {
+				t.Skip("CPU or OS lacks AVX")
+			}
+			useAVX = p.avx
+			f(t)
+		})
+	}
+}
+
+// kernelShapes are (m, k, n) products: the per-step shapes of the Default
+// LSTM monitors (batch 32, 6 features, hidden 64 and 32), then widths with
+// n%4 ≠ 0 and k%4 ≠ 0 that exercise the scalar tails.
+var kernelShapes = [][3]int{
+	{32, 6, 256}, {32, 64, 256}, {32, 64, 128}, {32, 32, 128},
+	{7, 13, 11}, {8, 16, 4}, {1, 5, 9}, {32, 39, 64}, {3, 4, 4},
+	{5, 8, 6}, {4, 12, 3}, {2, 9, 1}, {6, 17, 13}, {9, 24, 37},
+}
+
+// fillValues overwrites m according to kind: "dense" normal values;
+// "sparse" with half the entries and every third row zero (the ReLU
+// pattern that exercises the zero-skip paths); "special" mixing ±0,
+// subnormals, overflowing magnitudes, ±Inf and NaN into normal values.
+func fillValues(rng *rand.Rand, m *Matrix, kind string) {
+	specials := []float64{
+		0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, -2.5e-308,
+		1e300, -1e300, math.Inf(1), math.Inf(-1), testNaN,
+	}
+	for i := 0; i < m.rows; i++ {
+		row := m.data[i*m.cols : (i+1)*m.cols]
+		for j := range row {
+			v := rng.NormFloat64()
+			switch kind {
+			case "sparse":
+				if i%3 == 2 || rng.Intn(2) == 0 {
+					v = 0
+				}
+			case "special":
+				if rng.Intn(4) == 0 {
+					v = specials[rng.Intn(len(specials))]
+				}
+			}
+			row[j] = v
+		}
+	}
+}
+
+// requireSameBits fails unless got and want have the same shape and
+// bit-identical elements (−0 ≠ +0; NaN compared by its bits).
+func requireSameBits(t *testing.T, what string, got, want *Matrix) {
+	t.Helper()
+	if got.rows != want.rows || got.cols != want.cols {
+		t.Fatalf("%s: shape %dx%d, want %dx%d", what, got.rows, got.cols, want.rows, want.cols)
+	}
+	for i, v := range got.data {
+		if math.Float64bits(v) != math.Float64bits(want.data[i]) {
+			t.Fatalf("%s: element (%d,%d) = %v (%#016x), want %v (%#016x)", what,
+				i/got.cols, i%got.cols, v, math.Float64bits(v), want.data[i], math.Float64bits(want.data[i]))
+		}
+	}
+}
+
+// TestTiledKernelsBitIdenticalToNaive pins the kernel contract: on every path
+// (AVX and pure Go), every product reproduces the naive one-add-per-k
+// rounding sequence bit for bit — at the Default LSTM shapes and at ragged
+// widths, on dense, ReLU-sparse, and special-valued (±0, subnormal,
+// overflowing, ±Inf, NaN) operands.
 func TestTiledKernelsBitIdenticalToNaive(t *testing.T) {
 	SetParallelism(1)
 	defer SetParallelism(0)
-	rng := rand.New(rand.NewSource(3))
-	sparsify := func(m *Matrix, frac float64) {
-		d := m.Data()
-		for i := range d {
-			if rng.Float64() < frac {
-				d[i] = 0
+	kernelPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(3))
+		for _, kind := range []string{"dense", "sparse", "special"} {
+			for _, s := range kernelShapes {
+				m, k, n := s[0], s[1], s[2]
+				what := func(op string) string { return fmt.Sprintf("%s %s %dx%d·%dx%d", op, kind, m, k, k, n) }
+				a, b, bt, at, base := New(m, k), New(k, n), New(n, k), New(k, m), New(m, n)
+				for _, x := range []*Matrix{a, b, bt, at, base} {
+					fillValues(rng, x, kind)
+				}
+
+				got := New(m, n)
+				got.Fill(7) // MatMulInto must overwrite
+				if err := MatMulInto(got, a, b); err != nil {
+					t.Fatal(err)
+				}
+				requireSameBits(t, what("MatMulInto"), got, naiveMatMul(a, b))
+
+				wantT := naiveMatMulT(a, bt)
+				got.Fill(7)
+				if err := MatMulTInto(got, a, bt); err != nil {
+					t.Fatal(err)
+				}
+				requireSameBits(t, what("MatMulTInto"), got, wantT)
+				got.Fill(7)
+				if err := MatMulTPreInto(got, a, bt.Transpose()); err != nil {
+					t.Fatal(err)
+				}
+				requireSameBits(t, what("MatMulTPreInto"), got, wantT)
+
+				got = base.Clone()
+				if err := TMatMulAddInto(got, at, b); err != nil {
+					t.Fatal(err)
+				}
+				requireSameBits(t, what("TMatMulAddInto"), got, naiveTMatMulAdd(base, at, b))
 			}
 		}
-	}
-	shapes := [][3]int{{7, 13, 11}, {8, 16, 4}, {1, 5, 9}, {32, 39, 64}, {3, 4, 4}}
-	for _, sparse := range []float64{0, 0.5} {
-		for _, s := range shapes {
-			m, k, n := s[0], s[1], s[2]
-			a := RandNormal(rng, m, k, 1)
-			b := RandNormal(rng, k, n, 1)
-			bt := RandNormal(rng, n, k, 1)
-			at := RandNormal(rng, k, m, 1)
-			sparsify(a, sparse)
-			sparsify(at, sparse)
+	})
+}
 
-			got, err := MatMul(a, b)
-			if err != nil {
-				t.Fatal(err)
+// TestAxpy4Bounds drives the primitive directly at every length up to 37
+// and at unaligned offsets: each element must match the scalar sequence
+// and nothing outside o may be written.
+func TestAxpy4Bounds(t *testing.T) {
+	kernelPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(9))
+		for n := 0; n <= 37; n++ {
+			for off := 0; off < 3; off++ {
+				buf := make([]float64, off+n+5)
+				for i := range buf {
+					buf[i] = rng.NormFloat64()
+				}
+				want := append([]float64(nil), buf...)
+				bs := make([][]float64, 4)
+				for r := range bs {
+					bs[r] = make([]float64, n+off)[off:]
+					for j := range bs[r] {
+						bs[r][j] = rng.NormFloat64()
+					}
+				}
+				as := [4]float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+				for j := 0; j < n; j++ {
+					v := want[off+j]
+					for r := range bs {
+						v += float64(as[r] * bs[r][j])
+					}
+					want[off+j] = v
+				}
+				axpy4(buf[off:off+n], bs[0], bs[1], bs[2], bs[3], as[0], as[1], as[2], as[3])
+				for i, v := range buf {
+					if math.Float64bits(v) != math.Float64bits(want[i]) {
+						t.Fatalf("n=%d off=%d: buf[%d] = %v, want %v", n, off, i, v, want[i])
+					}
+				}
 			}
-			if !Equal(got, naiveMatMul(a, b), 0) {
-				t.Fatalf("MatMul %v sparse=%v: tiled kernel not bit-identical to naive", s, sparse)
+		}
+	})
+}
+
+// BenchmarkKernels reports GFLOP/s for each product at the Default LSTM
+// step shapes, on the AVX and the pure-Go path, serially.
+func BenchmarkKernels(b *testing.B) {
+	SetParallelism(1)
+	defer SetParallelism(0)
+	defer func(saved bool) { useAVX = saved }(useAVX)
+	rng := rand.New(rand.NewSource(5))
+	for _, path := range []string{"avx", "generic"} {
+		for _, s := range kernelShapes[:4] {
+			m, k, n := s[0], s[1], s[2]
+			a, x, xt, at := RandNormal(rng, m, k, 1), RandNormal(rng, k, n, 1), RandNormal(rng, n, k, 1), RandNormal(rng, k, m, 1)
+			dst := New(m, n)
+			xtt := xt.Transpose()
+			ops := []struct {
+				name string
+				run  func() error
+			}{
+				{"matmul", func() error { return MatMulInto(dst, a, x) }},
+				{"matmul_t", func() error { return MatMulTInto(dst, a, xt) }},
+				{"matmul_t_pre", func() error { return MatMulTPreInto(dst, a, xtt) }},
+				{"tmatmul_add", func() error { return TMatMulAddInto(dst, at, x) }},
 			}
-			gotT, err := MatMulT(a, bt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !Equal(gotT, naiveMatMulT(a, bt), 0) {
-				t.Fatalf("MatMulT %v sparse=%v: tiled kernel not bit-identical to naive", s, sparse)
-			}
-			gotTM, err := TMatMul(at, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !Equal(gotTM, naiveTMatMul(at, b), 0) {
-				t.Fatalf("TMatMul %v sparse=%v: tiled kernel not bit-identical to naive", s, sparse)
+			for _, op := range ops {
+				b.Run(fmt.Sprintf("%s/%s/%dx%dx%d", path, op.name, m, k, n), func(b *testing.B) {
+					if path == "avx" && !detectAVX() {
+						b.Skip("CPU or OS lacks AVX")
+					}
+					useAVX = path == "avx"
+					for i := 0; i < b.N; i++ {
+						if err := op.run(); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(2*float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+				})
 			}
 		}
 	}

@@ -3,6 +3,29 @@
 // dependencies. The API favours explicit destination-free operations that
 // return fresh matrices, plus a handful of in-place variants on the hot path
 // (training loops) to limit allocation.
+//
+// # Kernel contract
+//
+// Every f64 product (MatMul, MatMulT, TMatMul and their Into forms) runs
+// through one primitive that adds four rank-1 updates to an output row:
+// o[j] = (((o[j] + a0·b0[j]) + a1·b1[j]) + a2·b2[j]) + a3·b3[j]. Each
+// product and each sum is rounded separately, in ascending k: no fused
+// multiply-add and no reassociation, so every output element is
+// bit-identical to the naive one-add-per-k loop.
+//
+// On amd64 the primitive runs 4 lanes at a time in assembly (VMULPD, then
+// VADDPD) when CPUID reports AVX and the OS saves the YMM state (OSXSAVE
+// set and XGETBV enabling XMM and YMM). Otherwise, and on every other
+// GOARCH, a pure-Go loop with the same rounding runs instead. The choice
+// is made once at start-up; no flag or environment variable changes it,
+// and both paths give the same bits.
+//
+// a × bᵀ goes through a transpose. Streaming bᵀ's rows through the
+// primitive makes the inner loop contiguous, unlike a dot product over
+// b's rows, and adding every product (no zero skip) in ascending k is
+// exactly that dot product, non-finite values included. MatMulTPreInto
+// takes a transpose made once by the caller (TransposeInto), which is how
+// the nn layers reuse Wᵀ across a whole backward pass.
 package mat
 
 import (
@@ -152,14 +175,14 @@ func (m *Matrix) String() string {
 // MatMul returns a × b. Products above a size cutoff are computed by
 // row-blocks across SetParallelism goroutines; the result is byte-identical
 // to the serial path because each output row keeps its serial arithmetic
-// order (the tiled kernels in kernels.go preserve per-element accumulation
-// order exactly).
+// order (the kernels in kernels.go preserve per-element accumulation order
+// exactly).
 func MatMul(a, b *Matrix) (*Matrix, error) {
 	if a.cols != b.rows {
 		return nil, fmt.Errorf("%w: MatMul %dx%d × %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
 	}
 	out := New(a.rows, b.cols)
-	matMulDispatch(out, a, b)
+	matMulDispatch(out, a, b, true)
 	return out, nil
 }
 
@@ -174,61 +197,66 @@ func MatMulInto(dst, a, b *Matrix) error {
 		return fmt.Errorf("%w: MatMulInto dst %dx%d, want %dx%d", ErrShape, dst.rows, dst.cols, a.rows, b.cols)
 	}
 	dst.Zero()
-	matMulDispatch(dst, a, b)
+	matMulDispatch(dst, a, b, true)
 	return nil
 }
 
-// matMulDispatch fans the product out across row blocks when it is large
-// enough and the shared sweep budget grants workers. The kernel closure is
-// built only inside the granted branch, so the serial hot path — small
-// products, drained budget, parallelism 1 — allocates nothing.
-func matMulDispatch(out, a, b *Matrix) {
+// matMulDispatch accumulates out += a × b (see matMulRows for skipZeros),
+// fanning the product out across row blocks when it is large enough and the
+// shared sweep budget grants workers. The kernel closure is built only
+// inside the granted branch, so the serial hot path — small products,
+// drained budget, parallelism 1 — allocates nothing.
+func matMulDispatch(out, a, b *Matrix, skipZeros bool) {
 	rows := a.rows
 	if workers := planWorkers(rows, rows*a.cols*b.cols); workers > 1 {
 		if granted := sweep.AcquireWorkers(workers - 1); granted > 0 {
-			runRowBlocks(rows, granted+1, func(lo, hi int) { matMulRows(out, a, b, lo, hi) })
+			runRowBlocks(rows, granted+1, func(lo, hi int) { matMulRows(out, a, b, lo, hi, skipZeros) })
 			sweep.ReleaseWorkers(granted)
 			return
 		}
 	}
-	matMulRows(out, a, b, 0, rows)
+	matMulRows(out, a, b, 0, rows, skipZeros)
 }
 
-// MatMulT returns a × bᵀ, with the same row-blocked parallel path as MatMul.
+// MatMulT returns a × bᵀ: each element is the dot product of an a row and a
+// b row, every product added in ascending k (no zero skip). It transposes b
+// and runs the row-update kernel of MatMul, with the same parallel path.
 func MatMulT(a, b *Matrix) (*Matrix, error) {
 	if a.cols != b.cols {
 		return nil, fmt.Errorf("%w: MatMulT %dx%d × (%dx%d)ᵀ", ErrShape, a.rows, a.cols, b.rows, b.cols)
 	}
 	out := New(a.rows, b.rows)
-	matMulTDispatch(out, a, b)
+	matMulDispatch(out, a, b.Transpose(), false)
 	return out, nil
 }
 
 // MatMulTInto computes dst = a × bᵀ into a caller-owned destination. dst
 // must not alias a or b. Every element is overwritten; dst need not be
-// zeroed.
+// zeroed. It allocates the transpose of b; callers that multiply by the
+// same b many times transpose it once with TransposeInto and call
+// MatMulTPreInto instead.
 func MatMulTInto(dst, a, b *Matrix) error {
 	if a.cols != b.cols {
 		return fmt.Errorf("%w: MatMulTInto %dx%d × (%dx%d)ᵀ", ErrShape, a.rows, a.cols, b.rows, b.cols)
 	}
-	if dst.rows != a.rows || dst.cols != b.rows {
-		return fmt.Errorf("%w: MatMulTInto dst %dx%d, want %dx%d", ErrShape, dst.rows, dst.cols, a.rows, b.rows)
-	}
-	matMulTDispatch(dst, a, b)
-	return nil
+	return MatMulTPreInto(dst, a, b.Transpose())
 }
 
-// matMulTDispatch is matMulDispatch for out = a × bᵀ.
-func matMulTDispatch(out, a, b *Matrix) {
-	rows := a.rows
-	if workers := planWorkers(rows, rows*a.cols*b.rows); workers > 1 {
-		if granted := sweep.AcquireWorkers(workers - 1); granted > 0 {
-			runRowBlocks(rows, granted+1, func(lo, hi int) { matMulTRows(out, a, b, lo, hi) })
-			sweep.ReleaseWorkers(granted)
-			return
-		}
+// MatMulTPreInto computes dst = a × bᵀ from bt = bᵀ, transposed in advance
+// by the caller. The result is bit-identical to MatMulTInto(dst, a, b):
+// every product is added in ascending k, zero multipliers included, so
+// non-finite values in b propagate exactly as in a dot product. dst must
+// not alias a or bt. Every element is overwritten.
+func MatMulTPreInto(dst, a, bt *Matrix) error {
+	if a.cols != bt.rows {
+		return fmt.Errorf("%w: MatMulTPreInto %dx%d × %dx%d", ErrShape, a.rows, a.cols, bt.rows, bt.cols)
 	}
-	matMulTRows(out, a, b, 0, rows)
+	if dst.rows != a.rows || dst.cols != bt.cols {
+		return fmt.Errorf("%w: MatMulTPreInto dst %dx%d, want %dx%d", ErrShape, dst.rows, dst.cols, a.rows, bt.cols)
+	}
+	dst.Zero()
+	matMulDispatch(dst, a, bt, false)
+	return nil
 }
 
 // TMatMul returns aᵀ × b. The product stays on the calling goroutine: its
@@ -261,12 +289,35 @@ func TMatMulAddInto(dst, a, b *Matrix) error {
 // Transpose returns mᵀ.
 func (m *Matrix) Transpose() *Matrix {
 	out := New(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			out.data[j*out.cols+i] = m.data[i*m.cols+j]
+	transposeData(out, m)
+	return out
+}
+
+// TransposeInto computes dst = mᵀ into a caller-owned destination. dst must
+// not alias m.
+func TransposeInto(dst, m *Matrix) error {
+	if dst.rows != m.cols || dst.cols != m.rows {
+		return fmt.Errorf("%w: TransposeInto dst %dx%d, want %dx%d", ErrShape, dst.rows, dst.cols, m.cols, m.rows)
+	}
+	transposeData(dst, m)
+	return nil
+}
+
+// transposeData writes mᵀ into dst in 16×16 tiles, so the strided writes
+// of one tile stay within a few cache lines of dst.
+func transposeData(dst, m *Matrix) {
+	const tile = 16
+	for i0 := 0; i0 < m.rows; i0 += tile {
+		i1 := min(i0+tile, m.rows)
+		for j0 := 0; j0 < m.cols; j0 += tile {
+			j1 := min(j0+tile, m.cols)
+			for i := i0; i < i1; i++ {
+				for j, v := range m.data[i*m.cols+j0 : i*m.cols+j1] {
+					dst.data[(j0+j)*dst.cols+i] = v
+				}
+			}
 		}
 	}
-	return out
 }
 
 // AddM returns a + b.

@@ -21,6 +21,7 @@ type Dense struct {
 	// concurrency-safe Infer path never touches these.
 	y   *mat.Matrix // forward output (current shape)
 	gx  *mat.Matrix // backward input-gradient (current shape)
+	wt  *mat.Matrix // Wᵀ, refreshed by every Backward
 	ys  scratchCache
 	gxs scratchCache
 }
@@ -119,7 +120,13 @@ func (d *Dense) Backward(gradOut *mat.Matrix) (*mat.Matrix, error) {
 	if err := mat.AddSumRows(d.b.G, gradOut); err != nil {
 		return nil, fmt.Errorf("nn: dense backward db: %w", err)
 	}
-	if err := mat.MatMulTInto(d.gx, gradOut, d.w.W); err != nil { // dx = gy·Wᵀ
+	if d.wt == nil {
+		d.wt = mat.New(d.out, d.in)
+	}
+	if err := mat.TransposeInto(d.wt, d.w.W); err != nil {
+		return nil, fmt.Errorf("nn: dense backward: %w", err)
+	}
+	if err := mat.MatMulTPreInto(d.gx, gradOut, d.wt); err != nil { // dx = gy·Wᵀ
 		return nil, fmt.Errorf("nn: dense backward dx: %w", err)
 	}
 	return d.gx, nil

@@ -37,6 +37,9 @@ type LSTM struct {
 	wss []*lstmScratch
 	// cache marks the workspace as holding a recorded forward pass.
 	cache *lstmScratch
+	// wxT and whT hold Wxᵀ and Whᵀ, transposed once per Backward so every
+	// step's input and recurrent gradient runs the row-update kernel.
+	wxT, whT *mat.Matrix
 }
 
 // lstmScratch holds the unrolled activations Backward consumes plus all
@@ -379,6 +382,17 @@ func (l *LSTM) Backward(gradOut *mat.Matrix) (*mat.Matrix, error) {
 			gradOut.Rows(), gradOut.Cols(), batch, wantCols)
 	}
 
+	if l.wxT == nil {
+		l.wxT = mat.New(4*H, l.inputSize)
+		l.whT = mat.New(4*H, H)
+	}
+	if err := mat.TransposeInto(l.wxT, l.wx.W); err != nil {
+		return nil, err
+	}
+	if err := mat.TransposeInto(l.whT, l.wh.W); err != nil {
+		return nil, err
+	}
+
 	gradX := ws.gradX
 	dhNext, dhStage := ws.dhA, ws.dhB
 	dcNext, dcPrev := ws.dcA, ws.dcB
@@ -450,13 +464,13 @@ func (l *LSTM) Backward(gradOut *mat.Matrix) (*mat.Matrix, error) {
 		}
 
 		// Input and recurrent gradients.
-		if err := mat.MatMulTInto(ws.dxt, dz, l.wx.W); err != nil {
+		if err := mat.MatMulTPreInto(ws.dxt, dz, l.wxT); err != nil {
 			return nil, err
 		}
 		if err := gradX.SetCols(t*l.inputSize, ws.dxt); err != nil {
 			return nil, err
 		}
-		if err := mat.MatMulTInto(dhNext, dz, l.wh.W); err != nil {
+		if err := mat.MatMulTPreInto(dhNext, dz, l.whT); err != nil {
 			return nil, err
 		}
 		dcNext, dcPrev = dcPrev, dcNext
