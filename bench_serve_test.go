@@ -1,9 +1,9 @@
 // Serving benchmarks: end-to-end loopback HTTP load against the streaming
-// monitor service, contrasting the cross-session micro-batching dispatcher
-// with the batcher-bypass per-request baseline at the same session count.
-// Verdict streams are bit-identical across arms (serve.TestServeDeterminism),
-// so the comparison is pure throughput/latency. BenchmarkServe/* is gated in
-// CI against BENCH_BASELINE.json.
+// monitor service, contrasting the NDJSON stream transport with one POST
+// per sample at the same session count. Verdict streams are bit-identical
+// across arms (serve.TestServeDeterminism), so the comparison is pure
+// throughput/latency. BenchmarkServe/* is gated in CI against
+// BENCH_BASELINE.json.
 package repro_test
 
 import (
@@ -16,17 +16,16 @@ import (
 )
 
 // benchServe measures one full load run (sessions × samples, loopback HTTP)
-// per iteration and reports per-sample verdict latency percentiles, sustained
-// scored-sample throughput, and — for the batched arm — fused-batch
-// occupancy.
-func benchServe(b *testing.B, sessions int, mode string, bypass bool) {
+// per iteration and reports per-sample verdict latency percentiles and
+// sustained scored-sample throughput.
+func benchServe(b *testing.B, sessions int, mode string) {
 	b.Helper()
 	a := assets(b)
 	m, err := a.Sims[dataset.Glucosym].MLMonitor("mlp")
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := serve.New(serve.Config{Monitor: m, Bypass: bypass, IdleTimeout: -1})
+	srv, err := serve.New(serve.Config{Monitor: m, IdleTimeout: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -53,19 +52,12 @@ func benchServe(b *testing.B, sessions int, mode string, bypass bool) {
 	b.ReportMetric(float64(last.P50.Nanoseconds()), "p50-ns")
 	b.ReportMetric(float64(last.P99.Nanoseconds()), "p99-ns")
 	b.ReportMetric(last.SamplesPerSec, "samples/s")
-	if !bypass {
-		b.ReportMetric(srv.BatcherStats().Occupancy(), "batch-occupancy")
-	}
 }
 
-// BenchmarkServe contrasts the serving architectures at 64 concurrent
-// patient sessions: batched64 (NDJSON streaming ingest fused by the
-// micro-batching dispatcher) against bypass64 (one HTTP POST per sample,
-// classified inline — the per-request baseline), plus stream-nobatch64
-// (streaming transport with the dispatcher bypassed) to separate the
-// transport win from the fusion win.
+// BenchmarkServe drives the one serving path at 64 concurrent patient
+// sessions over both transports: stream64 (NDJSON ingest, chunked into
+// scoring blocks as lines arrive) and request64 (one HTTP POST per sample).
 func BenchmarkServe(b *testing.B) {
-	b.Run("batched64", func(b *testing.B) { benchServe(b, 64, "stream", false) })
-	b.Run("bypass64", func(b *testing.B) { benchServe(b, 64, "request", true) })
-	b.Run("stream-nobatch64", func(b *testing.B) { benchServe(b, 64, "stream", true) })
+	b.Run("stream64", func(b *testing.B) { benchServe(b, 64, "stream") })
+	b.Run("request64", func(b *testing.B) { benchServe(b, 64, "request") })
 }

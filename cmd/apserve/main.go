@@ -1,17 +1,15 @@
 // Command apserve exposes a trained safety monitor as a streaming HTTP
 // service: per-patient sessions ingest raw pump samples (JSON arrays or
-// NDJSON streams) and read back verdicts by long-poll or chunked stream,
-// while a cross-session micro-batching dispatcher fuses concurrent rows
-// into single inference calls over the frozen float32 engine.
+// NDJSON streams) and read back verdicts by long-poll or chunked stream.
+// Every request is classified inline, on its own goroutine, in blocks of
+// at most 32 rows through the frozen float32 engine (or -precision f64).
 //
 // Usage:
 //
 //	apserve [-addr HOST:PORT] [-model model.json]
 //	        [-sim glucosym|t1ds] [-arch mlp|lstm] [-epochs N]
 //	        [-profiles N] [-episodes N] [-steps N] [-scenarios MIX] [-seed N]
-//	        [-precision f32|f64] [-bypass]
-//	        [-batch-max N] [-batch-wait D] [-max-queue N]
-//	        [-max-sessions N] [-idle-timeout D]
+//	        [-precision f32|f64] [-max-sessions N] [-idle-timeout D]
 //	        [-parallel N] [-cache DIR] [-no-cache]
 //	        [-loadgen N] [-loadgen-samples N] [-loadgen-mode stream|request]
 //	        [-loadgen-seed N]
@@ -22,9 +20,9 @@
 // -loadgen N switches to self-benchmark mode: the server is started on a
 // loopback listener, N concurrent synthetic patient sessions are driven
 // against it, and a one-line summary plus a deterministic verdict digest
-// are printed. The digest is bit-identical across -parallel settings,
-// batch compositions and -bypass (for a fixed precision), which is what
-// the CI smoke asserts.
+// are printed. The digest is bit-identical across -parallel settings and
+// -loadgen-mode transports (for a fixed precision), which is what the CI
+// smoke asserts.
 package main
 
 import (
@@ -65,10 +63,6 @@ type appFlags struct {
 
 	addr        *string
 	modelPath   *string
-	bypass      *bool
-	batchMax    *int
-	batchWait   *time.Duration
-	maxQueue    *int
 	maxSessions *int
 	idleTimeout *time.Duration
 	debM        *int
@@ -95,10 +89,6 @@ func addFlags(fs *flag.FlagSet) *appFlags {
 	}
 	f.addr = fs.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
 	f.modelPath = fs.String("model", "", "serve this trained model JSON instead of training")
-	f.bypass = fs.Bool("bypass", false, "disable micro-batching: classify every request inline (baseline)")
-	f.batchMax = fs.Int("batch-max", 0, "micro-batch fuse limit (0 = default 32)")
-	f.batchWait = fs.Duration("batch-wait", 0, "max time a row waits for batch-mates (0 = default 1ms)")
-	f.maxQueue = fs.Int("max-queue", 0, "dispatcher queue depth before 429s (0 = default 32×batch-max)")
 	f.maxSessions = fs.Int("max-sessions", 1024, "live session cap (creation beyond it gets 429)")
 	f.idleTimeout = fs.Duration("idle-timeout", 5*time.Minute, "evict sessions idle this long (<0 disables)")
 	f.debM = fs.Int("debounce-m", 0, "default session debounce m (m-of-n, 0 = raw verdicts)")
@@ -128,8 +118,6 @@ func run() error {
 	srv, err := serve.New(serve.Config{
 		Monitor:     m,
 		Precision:   f.common.Precision,
-		Bypass:      *f.bypass,
-		Batcher:     serve.BatcherConfig{MaxBatch: *f.batchMax, MaxWait: *f.batchWait, MaxQueue: *f.maxQueue},
 		MaxSessions: *f.maxSessions,
 		IdleTimeout: *f.idleTimeout,
 		Session: serve.SessionConfig{
@@ -149,15 +137,11 @@ func run() error {
 	httpSrv := &http.Server{Handler: srv}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-	mode := "micro-batched"
-	if *f.bypass {
-		mode = "bypass"
-	}
-	fmt.Printf("apserve: %s on http://%s (%s, %s, window %d)\n",
-		m.Name(), ln.Addr(), mode, f.common.Precision, srv.Window())
+	fmt.Printf("apserve: %s on http://%s (%s, window %d)\n",
+		m.Name(), ln.Addr(), f.common.Precision, srv.Window())
 
 	if *f.loadgen > 0 {
-		err := runLoadgen(ln.Addr().String(), *f.loadgen, *f.loadSamples, *f.loadMode, *f.loadSeed, srv)
+		err := runLoadgen(ln.Addr().String(), *f.loadgen, *f.loadSamples, *f.loadMode, *f.loadSeed)
 		shutdown(httpSrv, srv)
 		return err
 	}
@@ -178,8 +162,8 @@ func run() error {
 	return nil
 }
 
-// shutdown stops accepting requests, then drains the dispatcher so every
-// admitted row still gets its verdict.
+// shutdown stops accepting requests, then closes every session; an append
+// already admitted still gets its verdicts.
 func shutdown(httpSrv *http.Server, srv *serve.Server) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -187,7 +171,7 @@ func shutdown(httpSrv *http.Server, srv *serve.Server) {
 	srv.Close()
 }
 
-func runLoadgen(addr string, sessions, samples int, mode string, seed int64, srv *serve.Server) error {
+func runLoadgen(addr string, sessions, samples int, mode string, seed int64) error {
 	res, err := serve.RunLoad(context.Background(), serve.LoadConfig{
 		BaseURL:           "http://" + addr,
 		Sessions:          sessions,
@@ -201,11 +185,6 @@ func runLoadgen(addr string, sessions, samples int, mode string, seed int64, srv
 	fmt.Printf("loadgen: %d sessions × %d samples (%s) in %v: %d verdicts (%d alarms), %.0f samples/s, p50 %v p99 %v\n",
 		res.Sessions, res.Samples, mode, res.Elapsed.Round(time.Millisecond),
 		res.Verdicts, res.Alarms, res.SamplesPerSec, res.P50.Round(time.Microsecond), res.P99.Round(time.Microsecond))
-	bs := srv.BatcherStats()
-	if bs.Flushes > 0 {
-		fmt.Printf("batcher: %d flushes (%d size, %d deadline, %d drain), occupancy %.2f\n",
-			bs.Flushes, bs.SizeFlushes, bs.DeadlineFlushes, bs.DrainFlushes, bs.Occupancy())
-	}
 	fmt.Printf("digest %s\n", res.Digest)
 	return nil
 }

@@ -30,9 +30,6 @@ type InferModel struct {
 // workspace reused at a steady batch size allocates nothing.
 type inferWorkspace struct {
 	slots []any
-	// in1 is the reusable 1×inSize input staging row for Classify1, created
-	// on the workspace's first single-row call.
-	in1 *mat32.Matrix
 }
 
 // inferLayer is a frozen, read-only layer: infer computes the layer output
@@ -168,42 +165,6 @@ func (im *InferModel) ClassifyInto(x *mat32.Matrix, classes []int, conf []float6
 		}
 	}
 	return nil
-}
-
-// Classify1 scores a single feature row: the argmax class and its softmax
-// probability. It stages the row through a workspace-owned input buffer, so
-// a steady stream of single-row calls performs zero allocations — the
-// batcher-bypass serving baseline and one-shot CLI paths want exactly this.
-// The arithmetic is identical to a 1-row ClassifyInto (and, because every
-// mat32 kernel computes each output row independently, to the same row
-// scored inside any fused batch).
-func (im *InferModel) Classify1(row []float32) (class int, conf float64, err error) {
-	if len(row) != im.inSize {
-		return 0, 0, fmt.Errorf("nn: classify1: %d input cols, want %d", len(row), im.inSize)
-	}
-	ws := im.pool.Get().(*inferWorkspace)
-	defer im.pool.Put(ws)
-	if ws.in1 == nil {
-		ws.in1 = mat32.New(1, im.inSize)
-	}
-	copy(ws.in1.Data(), row)
-	logits, err := im.run(ws, ws.in1)
-	if err != nil {
-		return 0, 0, err
-	}
-	out := logits.Row(0)
-	best := 0
-	for j, v := range out {
-		if v > out[best] {
-			best = j
-		}
-	}
-	mx := float64(out[best])
-	var sum float64
-	for _, v := range out {
-		sum += math.Exp(float64(v) - mx)
-	}
-	return best, 1 / sum, nil
 }
 
 // denseInfer is the frozen fully-connected layer: y = x·W + b.

@@ -32,7 +32,7 @@ type LoadConfig struct {
 	// SamplesPerSession is the script length per patient (default 64).
 	SamplesPerSession int
 	// Mode is "stream" (NDJSON ingest + streaming verdict read, default) or
-	// "request" (one POST per sample — the per-request baseline).
+	// "request" (one POST per sample, as a live pump would send them).
 	Mode string
 	// Seed parameterizes the synthetic CGM scripts; a given (Seed, session
 	// index) pair always produces the same sample sequence.
@@ -80,8 +80,8 @@ type LoadResult struct {
 	// SamplesPerSec is the sustained scored-sample throughput.
 	SamplesPerSec float64
 	// Digest fingerprints every verdict of every session in session order —
-	// bit-identical across runs, concurrency levels, batch compositions and
-	// the bypass path (for a fixed precision).
+	// bit-identical across runs, concurrency levels and transport modes (for
+	// a fixed precision).
 	Digest string
 }
 
@@ -375,8 +375,8 @@ func runStreamSession(ctx context.Context, cfg LoadConfig, script []Sample) ([]V
 	return verdicts, lats, nil
 }
 
-// runRequestSession is the per-request baseline: one POST round-trip per
-// sample, verdicts taken from each response inline.
+// runRequestSession sends one POST round-trip per sample and takes the
+// verdicts from each response inline.
 func runRequestSession(ctx context.Context, cfg LoadConfig, script []Sample) ([]Verdict, []time.Duration, error) {
 	cr, err := createSession(ctx, cfg)
 	if err != nil {

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -257,68 +260,293 @@ func loadDigest(t *testing.T, serverCfg serve.Config, mode string) *serve.LoadRe
 	return res
 }
 
+func createSession(t *testing.T, base string, cfg serve.SessionConfig) string {
+	t.Helper()
+	resp, body := postJSON(t, base+"/v1/sessions", cfg)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create status %d", resp.StatusCode)
+	}
+	var id string
+	if err := json.Unmarshal(body["id"], &id); err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
 // TestServeDeterminism pins the acceptance criterion: for a fixed per-session
 // input script, verdict streams are bit-identical regardless of transport
-// mode, batch composition, or the batcher-bypass path — batching changes
-// latency, never results.
+// mode and of how a request's rows are cut into scoring blocks. The loadgen
+// arms compare whole-fleet digests; the body arms post warmup plus N rows
+// as one JSON array, straddling the block size, and compare every verdict
+// (Conf by its bits) with the same script posted one sample per request.
 func TestServeDeterminism(t *testing.T) {
-	arms := []struct {
-		name string
-		cfg  serve.Config
-		mode string
-	}{
-		{"batched-stream", serve.Config{}, "stream"},
-		{"tiny-batches", serve.Config{Batcher: serve.BatcherConfig{MaxBatch: 3, MaxWait: 100 * time.Microsecond}}, "stream"},
-		{"batched-request", serve.Config{}, "request"},
-		{"bypass-request", serve.Config{Bypass: true}, "request"},
-		{"bypass-stream", serve.Config{Bypass: true}, "stream"},
+	type arm struct {
+		name      string
+		precision string
+		mode      string // loadgen transport; "" for a body arm
+		bodyRows  int
 	}
-	digests := make([]string, len(arms))
-	for i, arm := range arms {
-		res := loadDigest(t, arm.cfg, arm.mode)
-		digests[i] = res.Digest
-		t.Logf("%s: digest %s (p50 %v p99 %v)", arm.name, res.Digest[:12], res.P50, res.P99)
+	type rig struct {
+		url  string
+		warm int             // samples before the first verdict
+		ref  []serve.Verdict // the longest script, one sample per request
 	}
-	for i := 1; i < len(digests); i++ {
-		if digests[i] != digests[0] {
-			t.Fatalf("verdicts diverge: %s (%s) vs %s (%s)",
-				arms[0].name, digests[0], arms[i].name, digests[i])
+	sessCfg := serve.SessionConfig{DebounceM: 2, DebounceN: 3, CUSUMK: 0.6, CUSUMH: 2}
+	arms := []arm{
+		{name: "stream", mode: "stream"},
+		{name: "request", mode: "request"},
+	}
+	rigs := map[string]*rig{}
+	for _, p := range []string{serve.PrecisionF32, serve.PrecisionF64} {
+		for _, n := range []int{1, 31, 32, 33, 64, 65, 283} {
+			arms = append(arms, arm{name: fmt.Sprintf("%s-body%d", p, n), precision: p, bodyRows: n})
 		}
+		srv, ts := newTestServer(t, serve.Config{Precision: p})
+		r := &rig{url: ts.URL, warm: srv.Window() - 1}
+		script := serve.Script(21, 0, r.warm+283)
+		id := createSession(t, ts.URL, sessCfg)
+		for i := range script {
+			status, vs, err := postSamples(http.DefaultClient, ts.URL, id, script[i:i+1])
+			if err != nil || status != http.StatusOK {
+				t.Fatalf("%s row-at-a-time append %d: status %d (%v)", p, i, status, err)
+			}
+			r.ref = append(r.ref, vs...)
+		}
+		rigs[p] = r
+	}
+	var digest string
+	for _, a := range arms {
+		t.Run(a.name, func(t *testing.T) {
+			if a.mode != "" {
+				res := loadDigest(t, serve.Config{}, a.mode)
+				t.Logf("digest %s (p50 %v p99 %v)", res.Digest[:12], res.P50, res.P99)
+				if digest == "" {
+					digest = res.Digest
+				} else if res.Digest != digest {
+					t.Fatalf("verdicts diverge: %s vs %s", res.Digest, digest)
+				}
+				return
+			}
+			r := rigs[a.precision]
+			id := createSession(t, r.url, sessCfg)
+			status, got, err := postSamples(http.DefaultClient, r.url, id, serve.Script(21, 0, r.warm+a.bodyRows))
+			if err != nil || status != http.StatusOK {
+				t.Fatalf("body append: status %d (%v)", status, err)
+			}
+			if len(got) != a.bodyRows {
+				t.Fatalf("%d verdicts, want %d", len(got), a.bodyRows)
+			}
+			for i, v := range got {
+				w := r.ref[i]
+				if v.Seq != w.Seq || v.Unsafe != w.Unsafe || v.Raw != w.Raw || v.Drift != w.Drift ||
+					math.Float64bits(v.Conf) != math.Float64bits(w.Conf) {
+					t.Fatalf("row %d: body verdict %+v, row-at-a-time %+v", i, v, w)
+				}
+			}
+		})
 	}
 }
 
 // TestServeDeterminismF64 pins the same contract for the f64 escape hatch.
 func TestServeDeterminismF64(t *testing.T) {
 	a := loadDigest(t, serve.Config{Precision: serve.PrecisionF64}, "stream")
-	b := loadDigest(t, serve.Config{Precision: serve.PrecisionF64, Bypass: true}, "request")
+	b := loadDigest(t, serve.Config{Precision: serve.PrecisionF64}, "request")
 	if a.Digest != b.Digest {
-		t.Fatalf("f64 batched %s vs bypass %s", a.Digest, b.Digest)
+		t.Fatalf("f64 stream %s vs request %s", a.Digest, b.Digest)
 	}
 }
 
-// TestServeBatcherFusion sanity-checks that concurrent streaming sessions
-// actually fuse: with 8 sessions in flight, mean occupancy must exceed one
-// row per flush.
-func TestServeBatcherFusion(t *testing.T) {
+// TestServerBodyLimits checks that each oversized input is refused with 413
+// and the JSON error shape, and that it leaves the session untouched.
+func TestServerBodyLimits(t *testing.T) {
 	srv, ts := newTestServer(t, serve.Config{})
-	res, err := serve.RunLoad(context.Background(), serve.LoadConfig{
-		BaseURL:           ts.URL,
-		Sessions:          8,
-		SamplesPerSession: 40,
-		Mode:              "stream",
-		Seed:              5,
-	})
+	post := func(path, contentType string, body []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, contentType, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out struct {
+			Error string `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatalf("%s: decode error body: %v", path, err)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || out.Error == "" {
+			t.Fatalf("%s (%d bytes): status %d error %q, want 413 with a message", path, len(body), resp.StatusCode, out.Error)
+		}
+	}
+	// Unknown fields are ignored, so padding keeps each body valid JSON
+	// that only its size makes unacceptable.
+	pad := func(n int) string { return strings.Repeat("x", n) }
+
+	post("/v1/sessions", "application/json", []byte(`{"pad":"`+pad(65<<10)+`"}`))
+
+	id := createSession(t, ts.URL, serve.SessionConfig{})
+	samplesURL := "/v1/sessions/" + id + "/samples"
+	var big bytes.Buffer
+	big.WriteString("[")
+	for big.Len() <= 1<<20 {
+		big.WriteString(`{"cgm":120,"iob":1,"rate":1},`)
+	}
+	big.WriteString(`{"cgm":120,"iob":1,"rate":1}]`)
+	post(samplesURL, "application/json", big.Bytes())
+	for _, n := range []int{5 << 10, 100 << 10} {
+		post(samplesURL, "application/x-ndjson", []byte(`{"cgm":120,"iob":1,"rate":1,"pad":"`+pad(n)+`"}`+"\n"))
+	}
+
+	status, vs, err := postSamples(http.DefaultClient, ts.URL, id, serve.Script(3, 0, srv.Window()))
+	if err != nil || status != http.StatusOK || len(vs) != 1 || vs[0].Seq != srv.Window()-1 {
+		t.Fatalf("append after refusals: status %d verdicts %+v (%v), want one at seq %d", status, vs, err, srv.Window()-1)
+	}
+}
+
+// TestServerDrainOnClose closes the server while unary and NDJSON appends
+// are in flight: every append gets either 200 with all its verdicts or
+// 503, and none hangs.
+func TestServerDrainOnClose(t *testing.T) {
+	srv, ts := newTestServer(t, serve.Config{})
+	warm := srv.Window() - 1
+	client := &http.Client{Timeout: 20 * time.Second}
+	const workers, rows = 8, 8
+	var (
+		wg      sync.WaitGroup
+		started sync.WaitGroup
+		mu      sync.Mutex
+		oks     int
+		refused int
+	)
+	errc := make(chan error, workers)
+	started.Add(workers)
+	for w := 0; w < workers; w++ {
+		id := createSession(t, ts.URL, serve.SessionConfig{})
+		stream := w%2 == 1
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			script := serve.Script(int64(w), w, 1<<12)
+			sent, first := 0, true
+			for k := 0; sent+rows <= len(script); k++ {
+				body := script[sent : sent+rows]
+				// Verdicts this append must carry: rows past the warmup.
+				want := max(0, sent+rows-warm) - max(0, sent-warm)
+				var (
+					status, got int
+					err         error
+				)
+				if stream {
+					status, got, err = postStream(client, ts.URL, id, body)
+				} else {
+					var vs []serve.Verdict
+					status, vs, err = postSamples(client, ts.URL, id, body)
+					got = len(vs)
+				}
+				if first {
+					started.Done()
+					first = false
+				}
+				if err != nil {
+					errc <- fmt.Errorf("worker %d append %d: %v", w, k, err)
+					return
+				}
+				switch status {
+				case http.StatusOK:
+					if got != want {
+						errc <- fmt.Errorf("worker %d append %d: 200 with %d verdicts, want %d", w, k, got, want)
+						return
+					}
+					mu.Lock()
+					oks++
+					mu.Unlock()
+				case http.StatusServiceUnavailable:
+					mu.Lock()
+					refused++
+					mu.Unlock()
+					return
+				default:
+					errc <- fmt.Errorf("worker %d append %d: status %d, want 200 or 503", w, k, status)
+					return
+				}
+				sent += rows
+			}
+			errc <- fmt.Errorf("worker %d never saw the server close", w)
+		}(w)
+	}
+	started.Wait()
+	srv.Close()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("appends still hanging 30s after Close")
+	}
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	if refused != workers {
+		t.Fatalf("%d of %d workers saw 503 after Close", refused, workers)
+	}
+	resp, _ := postJSON(t, ts.URL+"/v1/sessions", serve.SessionConfig{})
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("create after Close: status %d, want 503", resp.StatusCode)
+	}
+	t.Logf("%d appends answered 200 before the drain", oks)
+}
+
+// postSamples posts samples to a session as one JSON array and returns the
+// status and, on 200, the verdicts of the reply.
+func postSamples(client *http.Client, base, id string, samples []serve.Sample) (int, []serve.Verdict, error) {
+	body, err := json.Marshal(samples)
 	if err != nil {
-		t.Fatal(err)
+		return 0, nil, err
 	}
-	st := srv.BatcherStats()
-	if st.FusedRows != int64(res.Verdicts) {
-		t.Fatalf("fused %d rows for %d verdicts", st.FusedRows, res.Verdicts)
+	resp, err := client.Post(base+"/v1/sessions/"+id+"/samples", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, err
 	}
-	if st.Occupancy() <= 1 {
-		t.Fatalf("occupancy %.2f: no cross-session fusion (stats %+v)", st.Occupancy(), st)
+	defer resp.Body.Close()
+	var out struct {
+		Verdicts []serve.Verdict `json:"verdicts"`
 	}
-	t.Logf("occupancy %.2f over %d flushes", st.Occupancy(), st.Flushes)
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			return 0, nil, err
+		}
+	}
+	return resp.StatusCode, out.Verdicts, nil
+}
+
+// postStream sends samples as one NDJSON upload and returns the status and,
+// on 200, the verdict count the summary reports.
+func postStream(client *http.Client, base, id string, samples []serve.Sample) (int, int, error) {
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	for _, s := range samples {
+		if err := enc.Encode(s); err != nil {
+			return 0, 0, err
+		}
+	}
+	resp, err := client.Post(base+"/v1/sessions/"+id+"/samples", "application/x-ndjson", &body)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer resp.Body.Close()
+	var out struct {
+		Accepted int `json:"accepted"`
+		Verdicts int `json:"verdicts"`
+	}
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			return 0, 0, err
+		}
+		if out.Accepted != len(samples) {
+			return 0, 0, fmt.Errorf("accepted %d of %d samples", out.Accepted, len(samples))
+		}
+	}
+	return resp.StatusCode, out.Verdicts, nil
 }
 
 func TestServerRejectsBadConfig(t *testing.T) {

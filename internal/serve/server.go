@@ -3,7 +3,6 @@ package serve
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -25,11 +24,6 @@ type Config struct {
 	// the frozen float32 engine, "f64" the canonical double-precision
 	// escape hatch.
 	Precision string
-	// Bypass disables the micro-batching dispatcher: every request is
-	// classified inline on its own goroutine (the per-request baseline).
-	Bypass bool
-	// Batcher tunes the dispatcher (ignored under Bypass).
-	Batcher BatcherConfig
 	// MaxSessions caps live sessions (default 1024); creation beyond it is
 	// rejected with 429.
 	MaxSessions int
@@ -49,14 +43,15 @@ type Config struct {
 //	GET    /v1/sessions/{id}/verdicts    long-poll: ?from=N&wait=2s
 //	GET    /v1/sessions/{id}/stream      chunked NDJSON verdict stream: ?from=N&max=M
 //	DELETE /v1/sessions/{id}             close one session
-//	GET    /v1/stats                     counters incl. batcher occupancy
+//	GET    /v1/stats                     session, sample and verdict counters
 //	GET    /healthz                      liveness
+//
+// Request bodies are bounded (maxCreateBytes, maxAppendBytes, and
+// maxLineBytes per NDJSON line); an oversized one is answered with 413.
 type Server struct {
 	cfg      Config
 	window   int
-	chunkCap int // NDJSON ingest block cap (= the batcher fuse limit)
-	batcher  *Batcher
-	direct   ClassifyFunc
+	classify classifyFunc
 	protoM   *monitor.MOfN  // default debounce prototype (nil if disabled)
 	protoC   *monitor.CUSUM // default drift prototype (nil if disabled)
 
@@ -69,8 +64,16 @@ type Server struct {
 	evictWG   sync.WaitGroup
 }
 
-// New builds a Server and starts its dispatcher (and idle-eviction janitor,
-// when enabled). Callers own Close.
+// Request body limits. The body is the only bound on one request's work:
+// a day-long 288-sample unary upload is ~17 KB.
+const (
+	maxCreateBytes = 64 << 10 // session-config JSON
+	maxAppendBytes = 1 << 20  // unary JSON sample array
+	maxLineBytes   = 4 << 10  // one NDJSON sample line
+)
+
+// New builds a Server and starts its idle-eviction janitor, when enabled.
+// Callers own Close.
 func New(cfg Config) (*Server, error) {
 	if cfg.Monitor == nil {
 		return nil, fmt.Errorf("serve: config needs a monitor")
@@ -85,27 +88,17 @@ func New(cfg Config) (*Server, error) {
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = 5 * time.Minute
 	}
-	cfg.Batcher.setDefaults()
 	s := &Server{
 		cfg:      cfg,
 		window:   window,
-		chunkCap: cfg.Batcher.MaxBatch,
 		sessions: make(map[string]*session),
 	}
 	var err error
 	if s.protoM, s.protoC, err = buildWrappers(cfg.Session); err != nil {
 		return nil, fmt.Errorf("serve: default session config: %w", err)
 	}
-	if cfg.Bypass {
-		if s.direct, err = newDirectClassify(cfg.Monitor, cfg.Precision); err != nil {
-			return nil, err
-		}
-	} else {
-		fused, err := newBatchClassify(cfg.Monitor, cfg.Precision, cfg.Batcher.MaxBatch)
-		if err != nil {
-			return nil, err
-		}
-		s.batcher = NewBatcher(cfg.Batcher, fused)
+	if s.classify, err = newClassify(cfg.Monitor, cfg.Precision); err != nil {
+		return nil, err
 	}
 	if cfg.IdleTimeout > 0 {
 		s.evictStop = make(chan struct{})
@@ -137,16 +130,9 @@ func buildWrappers(cfg SessionConfig) (*monitor.MOfN, *monitor.CUSUM, error) {
 // Window returns the monitor's context window (samples per verdict warmup).
 func (s *Server) Window() int { return s.window }
 
-// BatcherStats snapshots the dispatcher counters (zero value under Bypass).
-func (s *Server) BatcherStats() BatcherStats {
-	if s.batcher == nil {
-		return BatcherStats{}
-	}
-	return s.batcher.Stats()
-}
-
-// Close evicts every session, drains the batcher (in-flight appends still
-// receive their verdicts), and stops background goroutines. Idempotent.
+// Close evicts every session and stops the idle-eviction janitor.
+// Idempotent. Shutting a session waits for its in-flight append, so
+// admitted appends still receive their verdicts and later ones get 503.
 // When fronted by an http.Server, call its Shutdown first so no new
 // requests race the drain.
 func (s *Server) Close() {
@@ -164,9 +150,6 @@ func (s *Server) Close() {
 	}
 	for _, sess := range open {
 		sess.shut()
-	}
-	if s.batcher != nil {
-		s.batcher.Close()
 	}
 	if s.evictStop != nil {
 		s.evictWG.Wait()
@@ -203,25 +186,6 @@ func (s *Server) evictLoop() {
 	}
 }
 
-// classifyReject is the load-shedding classify used by unary appends: a full
-// queue surfaces as ErrQueueFull (HTTP 429) instead of blocking.
-func (s *Server) classifyReject(ctx context.Context, rows [][]float64, classes []int, conf []float64) error {
-	if s.batcher != nil {
-		return s.batcher.Classify(rows, classes, conf)
-	}
-	return s.direct(rows, classes, conf)
-}
-
-// classifyWait is the flow-controlled classify used by streaming ingest:
-// backpressure blocks the reader (and so the client transport) instead of
-// dropping samples.
-func (s *Server) classifyWait(ctx context.Context, rows [][]float64, classes []int, conf []float64) error {
-	if s.batcher != nil {
-		return s.batcher.ClassifyWait(ctx, rows, classes, conf)
-	}
-	return s.direct(rows, classes, conf)
-}
-
 // ServeHTTP implements http.Handler with Go 1.21-compatible manual routing.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	path := r.URL.Path
@@ -250,9 +214,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSession(w http.ResponseWriter, r *http.Request, id, sub string) {
-	sess := s.lookup(id)
+	sess, closed := s.lookup(id)
 	if sess == nil {
-		httpError(w, http.StatusNotFound, "no such session")
+		if closed {
+			httpError(w, http.StatusServiceUnavailable, "server closing")
+		} else {
+			httpError(w, http.StatusNotFound, "no such session")
+		}
 		return
 	}
 	switch {
@@ -273,19 +241,35 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request, id, sub s
 	}
 }
 
-func (s *Server) lookup(id string) *session {
+// lookup returns the live session with this id (nil if none) and whether
+// the server is closing.
+func (s *Server) lookup(id string) (*session, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.sessions[id]
+	return s.sessions[id], s.closed
+}
+
+// decodeBody decodes one JSON value from r's body, read through a limit
+// bytes cap: an oversized body is answered with 413, any other decode
+// failure with 400. It reports whether v was decoded.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("%s over %d bytes", what, limit))
+	} else {
+		httpError(w, http.StatusBadRequest, "bad "+what+": "+err.Error())
+	}
+	return false
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	cfg := s.cfg.Session
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&cfg); err != nil {
-			httpError(w, http.StatusBadRequest, "bad session config: "+err.Error())
-			return
-		}
+	if r.ContentLength != 0 && !decodeBody(w, r, maxCreateBytes, "session config", &cfg) {
+		return
 	}
 	var (
 		deb   *monitor.MOfN
@@ -340,11 +324,10 @@ func (s *Server) handleDelete(w http.ResponseWriter, sess *session) {
 
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, sess *session) {
 	var raw []Sample
-	if err := json.NewDecoder(r.Body).Decode(&raw); err != nil {
-		httpError(w, http.StatusBadRequest, "bad samples: "+err.Error())
+	if !decodeBody(w, r, maxAppendBytes, "samples", &raw) {
 		return
 	}
-	verdicts, err := sess.ingest(r.Context(), s.cfg.Monitor, s.classifyReject, raw)
+	verdicts, err := sess.ingest(s.cfg.Monitor, s.classify, raw)
 	if err != nil {
 		appendError(w, err)
 		return
@@ -360,20 +343,21 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, sess *sess
 // response is a single summary object at EOF.
 //
 // Lines are chunked adaptively: everything already buffered is scored as
-// one block (one batcher enqueue, up to the fuse limit) but the handler
-// never waits for more input, so a client dribbling single samples still
-// sees per-sample latency while a pipelining client gets block ingest for
-// free. Samples within a session stay strictly ordered either way, which
-// is what keeps the verdict stream bit-identical across chunk shapes.
+// one block (up to blockRows lines) but the handler never waits for more
+// input, so a client dribbling single samples still sees per-sample
+// latency while a pipelining client gets block ingest for free. Samples
+// within a session stay strictly ordered either way, which is what keeps
+// the verdict stream bit-identical across chunk shapes. A line longer than
+// maxLineBytes ends the stream with 413.
 func (s *Server) handleIngestStream(w http.ResponseWriter, r *http.Request, sess *session) {
 	br := bufio.NewReaderSize(r.Body, 64<<10)
-	chunk := make([]Sample, 0, s.chunkCap)
+	chunk := make([]Sample, 0, blockRows)
 	accepted, emitted := 0, 0
 	flush := func() bool {
 		if len(chunk) == 0 {
 			return true
 		}
-		verdicts, err := sess.ingest(r.Context(), s.cfg.Monitor, s.classifyWait, chunk)
+		verdicts, err := sess.ingest(s.cfg.Monitor, s.classify, chunk)
 		if err != nil {
 			appendError(w, err)
 			return false
@@ -384,7 +368,13 @@ func (s *Server) handleIngestStream(w http.ResponseWriter, r *http.Request, sess
 		return true
 	}
 	for {
-		line, err := br.ReadBytes('\n')
+		// ReadSlice's line aliases br's buffer, so it is decoded before the
+		// next read; a line that overflows the buffer is ErrBufferFull.
+		line, err := br.ReadSlice('\n')
+		if len(line) > maxLineBytes || err == bufio.ErrBufferFull {
+			httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("sample %d: line over %d bytes", accepted+len(chunk), maxLineBytes))
+			return
+		}
 		if len(bytes.TrimSpace(line)) > 0 {
 			var smp Sample
 			if uerr := json.Unmarshal(line, &smp); uerr != nil {
@@ -403,7 +393,7 @@ func (s *Server) handleIngestStream(w http.ResponseWriter, r *http.Request, sess
 			}
 			break
 		}
-		if len(chunk) >= s.chunkCap || br.Buffered() == 0 {
+		if len(chunk) >= blockRows || br.Buffered() == 0 {
 			if !flush() {
 				return
 			}
@@ -413,14 +403,9 @@ func (s *Server) handleIngestStream(w http.ResponseWriter, r *http.Request, sess
 }
 
 func appendError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		httpError(w, http.StatusTooManyRequests, err.Error())
-	case errors.Is(err, ErrClosed), errors.Is(err, errSessionClosed):
+	if errors.Is(err, errSessionClosed) {
 		httpError(w, http.StatusServiceUnavailable, err.Error())
-	case errors.Is(err, context.Canceled):
-		httpError(w, http.StatusBadRequest, "client canceled")
-	default:
+	} else {
 		httpError(w, http.StatusInternalServerError, err.Error())
 	}
 }
@@ -520,20 +505,27 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		samples += in
 		verdicts += out
 	}
-	stats := map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"sessions":  len(open),
 		"samples":   samples,
 		"verdicts":  verdicts,
 		"window":    s.window,
 		"precision": precisionName(s.cfg.Precision),
-		"bypass":    s.cfg.Bypass,
-	}
-	if s.batcher != nil {
-		bs := s.batcher.Stats()
-		stats["batcher"] = bs
-		stats["occupancy"] = bs.Occupancy()
-	}
-	writeJSON(w, http.StatusOK, stats)
+	})
+}
+
+// BatcherStats is the counter record of the cross-session micro-batcher
+// that earlier servers reported under the "batcher" key of /v1/stats.
+//
+// Deprecated: the server classifies every request inline and reports no
+// batcher. The type remains so clients that decode it keep building.
+type BatcherStats struct {
+	Flushes         int64 `json:"flushes"`
+	FusedRows       int64 `json:"fused_rows"`
+	SizeFlushes     int64 `json:"size_flushes"`
+	DeadlineFlushes int64 `json:"deadline_flushes"`
+	DrainFlushes    int64 `json:"drain_flushes"`
+	Rejected        int64 `json:"rejected"`
 }
 
 func precisionName(p string) string {

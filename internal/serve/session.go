@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -55,8 +54,8 @@ type SessionConfig struct {
 
 // session owns one patient stream: the record window, the stateful wrapper
 // instances (cloned, never shared), and the verdict log. All state is
-// guarded by mu; appends to one session serialize, and the cross-session
-// parallelism comes from the shared batcher fusing concurrent sessions.
+// guarded by mu; appends to one session serialize, while different sessions
+// classify in parallel on their own request goroutines.
 type session struct {
 	id      string
 	stepMin float64
@@ -74,8 +73,8 @@ type session struct {
 	closed   bool
 	lastUsed time.Time
 
-	// Reusable per-append staging (safe: appends serialize under mu and the
-	// batcher releases row buffers before Classify returns).
+	// Reusable per-append staging (safe: appends serialize under mu and
+	// classify is done with the rows when it returns).
 	rows    [][]float64
 	rowBuf  []float64
 	seqs    []int
@@ -101,11 +100,10 @@ func newSession(id string, window int, cfg SessionConfig, deb *monitor.MOfN, dri
 }
 
 // ingest converts raw samples to records, assembles one normalized model row
-// per full window, classifies the block through classify (one call — the
-// whole POST body becomes at most one batcher enqueue), applies the
+// per full window, classifies the rows through classify, applies the
 // session's stateful wrappers in ingest order, and appends the resulting
 // verdicts to the log.
-func (s *session) ingest(ctx context.Context, m *monitor.MLMonitor, classify func(context.Context, [][]float64, []int, []float64) error, raw []Sample) ([]Verdict, error) {
+func (s *session) ingest(m *monitor.MLMonitor, classify classifyFunc, raw []Sample) ([]Verdict, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -153,7 +151,7 @@ func (s *session) ingest(ctx context.Context, m *monitor.MLMonitor, classify fun
 		s.conf = make([]float64, nready)
 	}
 	classes, conf := s.classes[:nready], s.conf[:nready]
-	if err := classify(ctx, s.rows, classes, conf); err != nil {
+	if err := classify(s.rows, classes, conf); err != nil {
 		return nil, err
 	}
 
