@@ -160,9 +160,22 @@ func run() error {
 	}
 	fmt.Printf("monitor %s on %s: clean F1=%.3f ACC=%.3f\n", m.Name(), simu, clean.F1(), clean.Accuracy())
 
-	// Every arm produces the attacked per-sample prediction vector, so the
-	// sliced attacked report comes from the same pass as the summary line.
-	var advPred []int
+	// Every arm produces the attacked per-sample prediction vector once; the
+	// F1 line, the robustness error (Eq 5, against the clean predictions of
+	// the same input matrix) and the sliced attacked report all derive from
+	// it.
+	x, err := m.InputMatrix(test.Samples)
+	if err != nil {
+		return err
+	}
+	cleanPred, err := experiments.PredictMatrixClasses(m, x)
+	if err != nil {
+		return err
+	}
+	var (
+		advPred []int
+		summary string
+	)
 	level := *f.level
 	switch *f.kind {
 	case "gaussian":
@@ -174,50 +187,27 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		c, err := experiments.ScoreEpisodes(advPred, test, delta)
-		if err != nil {
-			return err
-		}
-		re, err := experiments.GaussianRobustness(m, test, level, seed+5)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("gaussian σ=%.2f·std: F1=%.3f (Δ=%.3f), robustness error=%.3f\n",
-			level, c.F1(), clean.F1()-c.F1(), re)
+		summary = fmt.Sprintf("gaussian σ=%.2f·std", level)
 	case "fgsm":
-		labels := test.Labels()
-		p := experiments.FGSMPerturbation(m, labels, level)
-		advPred, err = experiments.Predictions(m, test, p)
+		adv, err := experiments.FGSMPerturbation(m, test.Labels(), level)(x)
 		if err != nil {
 			return err
 		}
-		c, err := experiments.ScoreEpisodes(advPred, test, delta)
+		advPred, err = experiments.PredictMatrixClasses(m, adv)
 		if err != nil {
 			return err
 		}
-		re, err := experiments.RobustnessError(m, test, p)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("white-box FGSM ε=%.2f: F1=%.3f (Δ=%.3f), robustness error=%.3f\n",
-			level, c.F1(), clean.F1()-c.F1(), re)
+		summary = fmt.Sprintf("white-box FGSM ε=%.2f", level)
 	case "pgd":
-		labels := test.Labels()
-		p := experiments.PGDPerturbation(m, labels, test.Knowledge(), attack.PGDConfig{Eps: level})
-		advPred, err = experiments.Predictions(m, test, p)
+		adv, err := experiments.PGDPerturbation(m, test.Labels(), test.Knowledge(), attack.PGDConfig{Eps: level})(x)
 		if err != nil {
 			return err
 		}
-		c, err := experiments.ScoreEpisodes(advPred, test, delta)
+		advPred, err = experiments.PredictMatrixClasses(m, adv)
 		if err != nil {
 			return err
 		}
-		re, err := experiments.RobustnessError(m, test, p)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("white-box PGD ε=%.2f (10 steps): F1=%.3f (Δ=%.3f), robustness error=%.3f\n",
-			level, c.F1(), clean.F1()-c.F1(), re)
+		summary = fmt.Sprintf("white-box PGD ε=%.2f (10 steps)", level)
 	case "blackbox":
 		qx, err := m.InputMatrix(train.Samples)
 		if err != nil {
@@ -231,15 +221,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		tx, err := m.InputMatrix(test.Samples)
-		if err != nil {
-			return err
-		}
-		tPred, err := experiments.PredictMatrixClasses(m, tx)
-		if err != nil {
-			return err
-		}
-		adv, err := attack.BlackBoxFGSM(sub, tx, tPred, level)
+		adv, err := attack.BlackBoxFGSM(sub, x, cleanPred, level)
 		if err != nil {
 			return err
 		}
@@ -247,13 +229,21 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		re, err := metrics.RobustnessError(tPred, advPred)
+	default:
+		return fmt.Errorf("unknown attack %q", *f.kind)
+	}
+	re, err := metrics.RobustnessError(cleanPred, advPred)
+	if err != nil {
+		return err
+	}
+	if *f.kind == "blackbox" {
+		fmt.Printf("black-box FGSM ε=%.2f (substitute transfer): robustness error=%.3f\n", level, re)
+	} else {
+		c, err := experiments.ScoreEpisodes(advPred, test, delta)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("black-box FGSM ε=%.2f (substitute transfer): robustness error=%.3f\n", level, re)
-	default:
-		return fmt.Errorf("unknown attack %q", *f.kind)
+		fmt.Printf("%s: F1=%.3f (Δ=%.3f), robustness error=%.3f\n", summary, c.F1(), clean.F1()-c.F1(), re)
 	}
 
 	if *f.report {

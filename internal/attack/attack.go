@@ -66,6 +66,21 @@ func FGSMWithKnowledge(model *nn.Model, x *mat.Matrix, labels []int, knowledge [
 	if err != nil {
 		return nil, fmt.Errorf("attack: fgsm gradient: %w", err)
 	}
+	return FGSMFromGradient(x, grad, eps)
+}
+
+// FGSMFromGradient applies the FGSM step x + ε·sign(grad) to a copy of x,
+// given the input gradient grad taken at x. The gradient does not depend
+// on ε, so callers sweeping several budgets over one input compute it once
+// and call this per budget; the result is bit-identical to FGSM with the
+// model that produced grad. x and grad are only read.
+func FGSMFromGradient(x, grad *mat.Matrix, eps float64) (*mat.Matrix, error) {
+	if eps < 0 {
+		return nil, fmt.Errorf("attack: negative epsilon %v", eps)
+	}
+	if grad.Rows() != x.Rows() || grad.Cols() != x.Cols() {
+		return nil, fmt.Errorf("attack: gradient %dx%d for input %dx%d", grad.Rows(), grad.Cols(), x.Rows(), x.Cols())
+	}
 	out := x.Clone()
 	signStep(out, grad, eps)
 	return out, nil

@@ -192,6 +192,28 @@ func TestFGSMZeroEpsilonIsIdentity(t *testing.T) {
 	}
 }
 
+func TestFGSMFromGradient(t *testing.T) {
+	x, _ := mat.FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	grad, _ := mat.FromRows([][]float64{{0.5, -2, 0}, {-1e-300, 3, 0}})
+	adv, err := FGSMFromGradient(x, grad, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := mat.FromRows([][]float64{{1.25, 1.75, 3}, {3.75, 5.25, 6}})
+	if !mat.Equal(adv, want, 0) {
+		t.Fatalf("got %v, want %v", adv, want)
+	}
+	if x.At(0, 0) != 1 {
+		t.Fatal("FGSMFromGradient must not modify its input")
+	}
+	if _, err := FGSMFromGradient(x, grad, -0.1); err == nil {
+		t.Fatal("want error for negative ε")
+	}
+	if _, err := FGSMFromGradient(x, mat.New(2, 2), 0.1); err == nil {
+		t.Fatal("want error for a gradient of the wrong shape")
+	}
+}
+
 func TestSubstituteLearnsTargetBehaviour(t *testing.T) {
 	target, x, _ := trainedToyModel(t, 20)
 	targetPred, err := target.PredictClasses(x)

@@ -88,8 +88,9 @@ type monitorEntry struct {
 // guarantees one resolution per (simulator, monitor) key per process, and
 // that single resolution consults the artifact store (disk tier) before
 // falling back to training — so a warm run loads weights instead of
-// retraining, and a cold run persists what it trains. All accessors are
-// safe for concurrent use.
+// retraining, and a cold run persists what it trains. Each ML monitor's
+// attack surface (AttackSurface) is memoized the same way. All accessors
+// are safe for concurrent use.
 type SimAssets struct {
 	Sim   dataset.Simulator
 	Full  *dataset.Dataset
@@ -103,6 +104,7 @@ type SimAssets struct {
 
 	mu       sync.Mutex
 	monitors map[string]*monitorEntry
+	surfaces map[string]*surfaceEntry
 
 	labelsOnce sync.Once
 	testLabels []int
@@ -292,6 +294,7 @@ func Build(cfg Config) (*Assets, error) {
 			cfg:      cfg,
 			campaign: camp,
 			monitors: make(map[string]*monitorEntry, len(MonitorNames)),
+			surfaces: make(map[string]*surfaceEntry, len(MLMonitorNames)),
 		}, nil
 	})
 	if err != nil {

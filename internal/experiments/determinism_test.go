@@ -36,15 +36,19 @@ func renderAll(t *testing.T, a *Assets) string {
 // TestSweepDeterminism is the acceptance test of the parallel executor: with
 // a fixed config seed, rendered output must be byte-identical between one
 // worker and many, because per-cell seeds derive from (seed, cell index) and
-// results are slotted by index.
+// results are slotted by index. The attack surfaces are rebuilt at every
+// worker count, so no arm compares against gradients computed at another.
 func TestSweepDeterminism(t *testing.T) {
 	a := benchAssets(t)
 	defer SetWorkers(0)
+	defer resetAttackSurfaces(a)
 
 	SetWorkers(1)
+	resetAttackSurfaces(a)
 	serial := renderAll(t, a)
 	for _, workers := range []int{4, 13} {
 		SetWorkers(workers)
+		resetAttackSurfaces(a)
 		if par := renderAll(t, a); par != serial {
 			t.Fatalf("workers=%d: rendered output differs from serial run", workers)
 		}

@@ -33,7 +33,12 @@ func PredictSamples(m monitor.Monitor, samples []dataset.Sample) ([]int, error) 
 // PredictMatrixClasses runs an ML monitor over a pre-assembled input matrix
 // under the configured precision.
 func PredictMatrixClasses(m *monitor.MLMonitor, x *mat.Matrix) ([]int, error) {
-	if Precision() == eval.PrecisionF32 {
+	return predictMatrix(m, x, Precision())
+}
+
+// predictMatrix is PredictMatrixClasses at an explicit precision.
+func predictMatrix(m *monitor.MLMonitor, x *mat.Matrix, precision string) ([]int, error) {
+	if precision == eval.PrecisionF32 {
 		return m.PredictClassesF32(x)
 	}
 	return m.PredictClasses(x)
@@ -76,16 +81,21 @@ func GaussianScore(m monitor.Monitor, test *dataset.Dataset, sigma float64, seed
 // GaussianRobustness computes Eq (5) for an ML monitor under raw-window
 // Gaussian noise.
 func GaussianRobustness(m *monitor.MLMonitor, test *dataset.Dataset, sigma float64, seed int64) (float64, error) {
-	rng := rand.New(rand.NewSource(seed))
-	noisy, err := dataset.GaussianNoisySamples(rng, test, sigma)
-	if err != nil {
-		return 0, err
-	}
 	xc, err := m.InputMatrix(test.Samples)
 	if err != nil {
 		return 0, err
 	}
 	orig, err := PredictMatrixClasses(m, xc)
+	if err != nil {
+		return 0, err
+	}
+	return gaussianRobustness(m, test, orig, sigma, seed)
+}
+
+// gaussianRobustness is GaussianRobustness given the clean predictions.
+func gaussianRobustness(m *monitor.MLMonitor, test *dataset.Dataset, orig []int, sigma float64, seed int64) (float64, error) {
+	rng := rand.New(rand.NewSource(seed))
+	noisy, err := dataset.GaussianNoisySamples(rng, test, sigma)
 	if err != nil {
 		return 0, err
 	}
@@ -101,16 +111,17 @@ func GaussianRobustness(m *monitor.MLMonitor, test *dataset.Dataset, sigma float
 }
 
 // FGSMPerturbation crafts white-box adversarial inputs against the monitor's
-// own model using the true labels (Eqs 3-4). The gradient pass records
-// backward state on the model, so each invocation attacks a private clone —
-// which is what lets parallel sweep cells share one trained monitor.
+// own model using the true labels (Eqs 3-4). Each invocation takes the
+// gradient on a private clone, so parallel sweep cells can share one
+// trained monitor. The figure sweeps attack the whole test split through
+// SimAssets.AttackSurface instead, which takes that gradient once.
 func FGSMPerturbation(m *monitor.MLMonitor, labels []int, eps float64) Perturbation {
 	return func(x *mat.Matrix) (*mat.Matrix, error) {
-		model, err := m.Model().Clone()
+		grad, err := targetGradient(m, x, labels)
 		if err != nil {
 			return nil, err
 		}
-		return attack.FGSM(model, x, labels, eps)
+		return attack.FGSMFromGradient(x, grad, eps)
 	}
 }
 

@@ -18,18 +18,23 @@ type Fig8Result struct {
 }
 
 // Fig8 sweeps the FGSM ε budgets over the shared grid executor. FGSM is
-// deterministic given the model and labels, so cells need no seed.
+// deterministic given the model and labels, so cells need no seed; every
+// budget steps from the monitor's one memoized attack surface.
 func Fig8(a *Assets) (*Fig8Result, error) {
 	f1, err := runGrid(a, gridSpec[float64]{
 		monitors: MLMonitorNames,
 		levels:   FGSMLevels,
 		tag:      tagFig8,
 		eval: func(c *GridCell) (float64, error) {
-			m, err := c.SA.MLMonitor(c.Monitor)
+			surf, err := c.SA.AttackSurface(c.Monitor)
 			if err != nil {
 				return 0, err
 			}
-			conf, err := Score(m, c.SA.Test, a.Config.ToleranceDelta, FGSMPerturbation(m, c.SA.TestLabels(), c.Level))
+			pred, err := surf.FGSMPred(c.Level)
+			if err != nil {
+				return 0, cellErr("fig8", c, err)
+			}
+			conf, err := ScoreEpisodes(pred, c.SA.Test, a.Config.ToleranceDelta)
 			if err != nil {
 				return 0, cellErr("fig8", c, err)
 			}
@@ -83,17 +88,13 @@ type Fig2Result struct {
 // case study (the paper's example uses a keep_insulin command context).
 func Fig2(a *Assets) (*Fig2Result, error) {
 	sa := a.Sims[dataset.Glucosym]
-	m, err := sa.MLMonitor("mlp")
+	surf, err := sa.AttackSurface("mlp")
 	if err != nil {
 		return nil, err
 	}
-	x, err := m.InputMatrix(sa.Test.Samples)
-	if err != nil {
-		return nil, err
-	}
-	labels := sa.TestLabels()
+	m, x := surf.Monitor, surf.X
 	const eps = 0.2
-	adv, err := FGSMPerturbation(m, labels, eps)(x)
+	adv, err := surf.FGSM(eps)
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +106,7 @@ func Fig2(a *Assets) (*Fig2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fig2Pick(x, adv, labels, origV, advV, eps)
+	return fig2Pick(x, adv, sa.TestLabels(), origV, advV, eps)
 }
 
 // fig2Pick selects, among the correctly detected unsafe samples the attack

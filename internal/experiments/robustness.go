@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/attack"
+	"repro/internal/metrics"
 )
 
 // HeatmapResult is a robustness-error heatmap: one row per
@@ -66,11 +67,15 @@ func Fig9Gaussian(a *Assets) (*HeatmapResult, error) {
 		levels:   GaussianLevels,
 		tag:      tagFig9,
 		eval: func(c *GridCell) (float64, error) {
-			m, err := c.SA.MLMonitor(c.Monitor)
+			surf, err := c.SA.AttackSurface(c.Monitor)
 			if err != nil {
 				return 0, err
 			}
-			re, err := GaussianRobustness(m, c.SA.Test, c.Level, c.Seed)
+			orig, err := surf.CleanPred()
+			if err != nil {
+				return 0, err
+			}
+			re, err := gaussianRobustness(surf.Monitor, c.SA.Test, orig, c.Level, c.Seed)
 			if err != nil {
 				return 0, cellErr("fig9 gaussian", c, err)
 			}
@@ -92,15 +97,19 @@ func Fig9FGSM(a *Assets) (*HeatmapResult, error) {
 		levels:   FGSMLevels,
 		tag:      tagFig9FGSM,
 		eval: func(c *GridCell) (float64, error) {
-			m, err := c.SA.MLMonitor(c.Monitor)
+			surf, err := c.SA.AttackSurface(c.Monitor)
 			if err != nil {
 				return 0, err
 			}
-			re, err := RobustnessError(m, c.SA.Test, FGSMPerturbation(m, c.SA.TestLabels(), c.Level))
+			orig, err := surf.CleanPred()
+			if err != nil {
+				return 0, err
+			}
+			pert, err := surf.FGSMPred(c.Level)
 			if err != nil {
 				return 0, cellErr("fig9 fgsm", c, err)
 			}
-			return re, nil
+			return metrics.RobustnessError(orig, pert)
 		},
 	})
 	if err != nil {
@@ -117,8 +126,8 @@ const blackBoxQueryBudget = 600
 // Fig10 computes the robustness-error heatmap against black-box FGSM
 // attacks crafted on a substitute model trained from target queries. The
 // sweep cell is one (simulator, monitor) pair: the substitute is trained
-// once per pair and every ε budget transfers from it, so parallel execution
-// never retrains a substitute.
+// once per pair, its input gradient is taken once, and every ε budget
+// transfers from it, so parallel execution never retrains a substitute.
 func Fig10(a *Assets) (*HeatmapResult, error) {
 	rows, err := runPairs(a, MLMonitorNames, tagFig10, func(c *GridCell) ([]float64, error) {
 		m, err := c.SA.MLMonitor(c.Monitor)
@@ -160,9 +169,14 @@ func Fig10(a *Assets) (*HeatmapResult, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The substitute is private to this cell, so no clone is needed.
+		grad, err := sub.InputGradient(tx, tPred, nil)
+		if err != nil {
+			return nil, cellErr("fig10 gradient", c, err)
+		}
 		row := make([]float64, 0, len(FGSMLevels))
 		for _, eps := range FGSMLevels {
-			adv, err := attack.BlackBoxFGSM(sub, tx, tPred, eps)
+			adv, err := attack.FGSMFromGradient(tx, grad, eps)
 			if err != nil {
 				return nil, err
 			}

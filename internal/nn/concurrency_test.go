@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -23,22 +24,32 @@ func testModels(t *testing.T) map[string]*Model {
 	return map[string]*Model{"mlp": mlp, "lstm": lstm}
 }
 
-// TestInferMatchesForward pins the contract of the inference path: identical
-// numbers to Forward, with no backward state recorded.
+// TestInferMatchesForward pins the contract of the inference path: the
+// same bits as Forward, with no backward state recorded. The batch sizes
+// straddle the 4-row kernel step and the 32-row training block.
 func TestInferMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for name, m := range testModels(t) {
-		x := mat.RandNormal(rng, 7, m.InputSize(), 1)
-		fwd, err := m.Forward(x)
-		if err != nil {
-			t.Fatalf("%s forward: %v", name, err)
-		}
-		inf, err := m.Infer(x)
-		if err != nil {
-			t.Fatalf("%s infer: %v", name, err)
-		}
-		if !mat.Equal(fwd, inf, 0) {
-			t.Fatalf("%s: Infer differs from Forward", name)
+	models := testModels(t)
+	for _, name := range []string{"mlp", "lstm"} {
+		m := models[name]
+		for _, batch := range []int{1, 7, 32, 33} {
+			x := mat.RandNormal(rng, batch, m.InputSize(), 1)
+			fwd, err := m.Forward(x)
+			if err != nil {
+				t.Fatalf("%s forward: %v", name, err)
+			}
+			inf, err := m.Infer(x)
+			if err != nil {
+				t.Fatalf("%s infer: %v", name, err)
+			}
+			if fwd.Rows() != inf.Rows() || fwd.Cols() != inf.Cols() {
+				t.Fatalf("%s batch %d: Infer %dx%d, Forward %dx%d", name, batch, inf.Rows(), inf.Cols(), fwd.Rows(), fwd.Cols())
+			}
+			for i, v := range fwd.Data() {
+				if math.Float64bits(v) != math.Float64bits(inf.Data()[i]) {
+					t.Fatalf("%s batch %d: Infer element %d = %v, Forward %v", name, batch, i, inf.Data()[i], v)
+				}
+			}
 		}
 	}
 }

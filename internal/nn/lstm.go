@@ -219,25 +219,9 @@ func (l *LSTM) Forward(x *mat.Matrix) (*mat.Matrix, error) {
 			return nil, err
 		}
 
-		gateSliceInto(ws.is[t], ws.z, 0, H, sigmoid)
-		gateSliceInto(ws.fs[t], ws.z, H, H, sigmoid)
-		gateSliceInto(ws.gs[t], ws.z, 2*H, H, math.Tanh)
-		gateSliceInto(ws.os[t], ws.z, 3*H, H, sigmoid)
-
-		newCell := ws.cs[t]
-		for i := 0; i < batch; i++ {
-			cr, fr, ir, gr, nr := cell.Row(i), ws.fs[t].Row(i), ws.is[t].Row(i), ws.gs[t].Row(i), newCell.Row(i)
-			for j := 0; j < H; j++ {
-				nr[j] = fr[j]*cr[j] + ir[j]*gr[j]
-			}
-		}
-		if err := mat.ApplyInto(ws.tcs[t], newCell, math.Tanh); err != nil {
-			return nil, err
-		}
-		if err := mat.HadamardInto(ws.hs[t], ws.os[t], ws.tcs[t]); err != nil {
-			return nil, err
-		}
-		cell, h = newCell, ws.hs[t]
+		lstmGates(ws.is[t], ws.fs[t], ws.gs[t], ws.os[t], ws.z, H)
+		lstmCell(ws.cs[t], ws.tcs[t], ws.hs[t], cell, ws.is[t], ws.fs[t], ws.gs[t], ws.os[t])
+		cell, h = ws.cs[t], ws.hs[t]
 
 		if l.returnSeqs {
 			if err := ws.seqOut.SetCols(t*H, h); err != nil {
@@ -254,7 +238,9 @@ func (l *LSTM) Forward(x *mat.Matrix) (*mat.Matrix, error) {
 
 // Infer implements Layer: the unrolled forward pass without the backward
 // cache or shared scratch, so concurrent goroutines can share one trained
-// layer. It performs the exact arithmetic of Forward.
+// layer. It performs the exact arithmetic of Forward (the same products,
+// lstmGates and lstmCell), on temporaries allocated once per call: every
+// step overwrites them, and the cell and hidden states update in place.
 func (l *LSTM) Infer(x *mat.Matrix) (*mat.Matrix, error) {
 	if x.Cols() != l.steps*l.inputSize {
 		return nil, fmt.Errorf("nn: lstm forward: %d input cols, want %d", x.Cols(), l.steps*l.inputSize)
@@ -263,21 +249,22 @@ func (l *LSTM) Infer(x *mat.Matrix) (*mat.Matrix, error) {
 	H := l.hidden
 	h := mat.New(batch, H)
 	cell := mat.New(batch, H)
+	xt := mat.New(batch, l.inputSize)
+	z, zh := mat.New(batch, 4*H), mat.New(batch, 4*H)
+	it, ft, gt, ot := mat.New(batch, H), mat.New(batch, H), mat.New(batch, H), mat.New(batch, H)
+	tc := mat.New(batch, H)
 	var seqOut *mat.Matrix
 	if l.returnSeqs {
 		seqOut = mat.New(batch, l.steps*H)
 	}
 	for t := 0; t < l.steps; t++ {
-		xt, err := x.SliceCols(t*l.inputSize, (t+1)*l.inputSize)
-		if err != nil {
+		if err := mat.SliceColsInto(xt, x, t*l.inputSize, (t+1)*l.inputSize); err != nil {
 			return nil, fmt.Errorf("nn: lstm forward step %d: %w", t, err)
 		}
-		z, err := mat.MatMul(xt, l.wx.W)
-		if err != nil {
+		if err := mat.MatMulInto(z, xt, l.wx.W); err != nil {
 			return nil, fmt.Errorf("nn: lstm forward Wx step %d: %w", t, err)
 		}
-		zh, err := mat.MatMul(h, l.wh.W)
-		if err != nil {
+		if err := mat.MatMulInto(zh, h, l.wh.W); err != nil {
 			return nil, fmt.Errorf("nn: lstm forward Wh step %d: %w", t, err)
 		}
 		if err := z.AddInPlace(zh); err != nil {
@@ -287,24 +274,8 @@ func (l *LSTM) Infer(x *mat.Matrix) (*mat.Matrix, error) {
 			return nil, err
 		}
 
-		it := gateSlice(z, 0, H, sigmoid)
-		ft := gateSlice(z, H, H, sigmoid)
-		gt := gateSlice(z, 2*H, H, math.Tanh)
-		ot := gateSlice(z, 3*H, H, sigmoid)
-
-		newCell := mat.New(batch, H)
-		for i := 0; i < batch; i++ {
-			cr, fr, ir, gr, nr := cell.Row(i), ft.Row(i), it.Row(i), gt.Row(i), newCell.Row(i)
-			for j := 0; j < H; j++ {
-				nr[j] = fr[j]*cr[j] + ir[j]*gr[j]
-			}
-		}
-		tc := newCell.Apply(math.Tanh)
-		newH, err := mat.Hadamard(ot, tc)
-		if err != nil {
-			return nil, err
-		}
-		cell, h = newCell, newH
+		lstmGates(it, ft, gt, ot, z, H)
+		lstmCell(cell, tc, h, cell, it, ft, gt, ot)
 
 		if l.returnSeqs {
 			if err := seqOut.SetCols(t*H, h); err != nil {
@@ -345,21 +316,33 @@ func (l *LSTM) Replicate() Layer {
 	}
 }
 
-// gateSlice extracts columns [from, from+width) of z and applies fn.
-func gateSlice(z *mat.Matrix, from, width int, fn func(float64) float64) *mat.Matrix {
-	out := mat.New(z.Rows(), width)
-	gateSliceInto(out, z, from, width, fn)
-	return out
+// lstmGates splits the packed pre-activations z = [i | f | g | o] (batch ×
+// 4·H) into the four gate activations in one pass: sigmoid on i, f and o,
+// tanh on g.
+func lstmGates(i, f, g, o, z *mat.Matrix, H int) {
+	for r := 0; r < z.Rows(); r++ {
+		zr := z.Row(r)
+		zi, zf, zg, zo := zr[:H], zr[H:2*H], zr[2*H:3*H], zr[3*H:4*H]
+		ir, fr, gr, or := i.Row(r)[:H], f.Row(r)[:H], g.Row(r)[:H], o.Row(r)[:H]
+		for j := range ir {
+			ir[j] = sigmoid(zi[j])
+			fr[j] = sigmoid(zf[j])
+			gr[j] = math.Tanh(zg[j])
+			or[j] = sigmoid(zo[j])
+		}
+	}
 }
 
-// gateSliceInto extracts columns [from, from+width) of z into dst, applying
-// fn elementwise.
-func gateSliceInto(dst, z *mat.Matrix, from, width int, fn func(float64) float64) {
-	for i := 0; i < z.Rows(); i++ {
-		zr := z.Row(i)[from : from+width]
-		or := dst.Row(i)
-		for j, v := range zr {
-			or[j] = fn(v)
+// lstmCell is one step's state update: c = f⊙cPrev + i⊙g, tc = tanh(c) and
+// h = o⊙tc. c may alias cPrev (each element is read before it is written).
+func lstmCell(c, tc, h, cPrev, i, f, g, o *mat.Matrix) {
+	for r := 0; r < c.Rows(); r++ {
+		cr, tcr, hr, cpr := c.Row(r), tc.Row(r), h.Row(r), cPrev.Row(r)
+		ir, fr, gr, or := i.Row(r), f.Row(r), g.Row(r), o.Row(r)
+		for j := range cr {
+			cr[j] = fr[j]*cpr[j] + ir[j]*gr[j]
+			tcr[j] = math.Tanh(cr[j])
+			hr[j] = or[j] * tcr[j]
 		}
 	}
 }
