@@ -75,32 +75,42 @@ var nanOperands = []float64{0, math.Inf(1)}
 // contract, because Go's compiler commutes float additions freely.
 var testNaN = nanOperands[0] * nanOperands[1]
 
-// kernelPaths runs f once per kernel path available on this machine, AVX
-// and pure Go, restoring the start-up selection afterwards.
+// kernelPaths runs f once per panel body, AVX-512, AVX and pure Go,
+// skipping the bodies this machine lacks, and restores the start-up
+// selection afterwards.
 func kernelPaths(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
-	defer func(saved bool) { useAVX = saved }(useAVX)
-	for _, p := range []struct {
-		name string
-		avx  bool
-	}{{"avx", true}, {"generic", false}} {
+	defer func(saved simdLevel) { simd = saved }(simd)
+	for _, p := range simdPaths {
 		t.Run(p.name, func(t *testing.T) {
-			if p.avx && !detectAVX() {
-				t.Skip("CPU or OS lacks AVX")
+			if p.level > detectSIMD() {
+				t.Skipf("CPU or OS lacks %s", p.name)
 			}
-			useAVX = p.avx
+			simd = p.level
 			f(t)
 		})
 	}
 }
 
+// simdPaths names every panel body, widest first.
+var simdPaths = []struct {
+	name  string
+	level simdLevel
+}{{"avx512", simdAVX512}, {"avx", simdAVX}, {"generic", simdGeneric}}
+
 // kernelShapes are (m, k, n) products: the per-step shapes of the Default
-// LSTM monitors (batch 32, 6 features, hidden 64 and 32), then widths with
-// n%4 ≠ 0 and k%4 ≠ 0 that exercise the scalar tails.
+// LSTM monitors (batch 32, 6 features, hidden 64 and 32), then the
+// backward dz·Wᵀ shapes and the dW shape (TMatMulAddInto of a 32×64ᵀ by a
+// 32×256 operand), then ragged widths that end in every strip and tail of
+// the panel bodies, and k = 0.
 var kernelShapes = [][3]int{
 	{32, 6, 256}, {32, 64, 256}, {32, 64, 128}, {32, 32, 128},
+	{32, 256, 64}, {32, 128, 32}, {32, 256, 6}, {64, 32, 256},
 	{7, 13, 11}, {8, 16, 4}, {1, 5, 9}, {32, 39, 64}, {3, 4, 4},
 	{5, 8, 6}, {4, 12, 3}, {2, 9, 1}, {6, 17, 13}, {9, 24, 37},
+	{3, 7, 1}, {3, 7, 3}, {3, 7, 5}, {3, 7, 7}, {3, 7, 9}, {3, 7, 17},
+	{3, 7, 31}, {3, 7, 33}, {3, 7, 40}, {3, 7, 63}, {3, 7, 65},
+	{4, 0, 7}, {1, 0, 33},
 }
 
 // fillValues overwrites m according to kind: "dense" normal values;
@@ -146,11 +156,12 @@ func requireSameBits(t *testing.T, what string, got, want *Matrix) {
 	}
 }
 
-// TestTiledKernelsBitIdenticalToNaive pins the kernel contract: on every path
-// (AVX and pure Go), every product reproduces the naive one-add-per-k
-// rounding sequence bit for bit — at the Default LSTM shapes and at ragged
-// widths, on dense, ReLU-sparse, and special-valued (±0, subnormal,
-// overflowing, ±Inf, NaN) operands.
+// TestTiledKernelsBitIdenticalToNaive pins the kernel contract: on every
+// path (AVX-512, AVX and pure Go), every product reproduces the naive
+// one-add-per-k rounding sequence bit for bit — at the Default LSTM
+// forward and backward shapes, at ragged widths and at k = 0, on dense,
+// ReLU-sparse, and special-valued (±0, subnormal, overflowing, ±Inf, NaN)
+// operands.
 func TestTiledKernelsBitIdenticalToNaive(t *testing.T) {
 	SetParallelism(1)
 	defer SetParallelism(0)
@@ -194,38 +205,20 @@ func TestTiledKernelsBitIdenticalToNaive(t *testing.T) {
 	})
 }
 
-// TestAxpy4Bounds drives the primitive directly at every length up to 37
-// and at unaligned offsets: each element must match the scalar sequence
-// and nothing outside o may be written.
-func TestAxpy4Bounds(t *testing.T) {
+// TestPanelBounds drives the primitive directly at every width up to 70, at
+// unaligned offsets, with strided multipliers and padded b rows, skipping
+// zeros or not: each element must match the scalar sequence and nothing
+// outside o may be written.
+func TestPanelBounds(t *testing.T) {
 	kernelPaths(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(9))
-		for n := 0; n <= 37; n++ {
+		for n := 0; n <= 70; n++ {
 			for off := 0; off < 3; off++ {
-				buf := make([]float64, off+n+5)
-				for i := range buf {
-					buf[i] = rng.NormFloat64()
-				}
-				want := append([]float64(nil), buf...)
-				bs := make([][]float64, 4)
-				for r := range bs {
-					bs[r] = make([]float64, n+off)[off:]
-					for j := range bs[r] {
-						bs[r][j] = rng.NormFloat64()
-					}
-				}
-				as := [4]float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-				for j := 0; j < n; j++ {
-					v := want[off+j]
-					for r := range bs {
-						v += float64(as[r] * bs[r][j])
-					}
-					want[off+j] = v
-				}
-				axpy4(buf[off:off+n], bs[0], bs[1], bs[2], bs[3], as[0], as[1], as[2], as[3])
-				for i, v := range buf {
-					if math.Float64bits(v) != math.Float64bits(want[i]) {
-						t.Fatalf("n=%d off=%d: buf[%d] = %v, want %v", n, off, i, v, want[i])
+				for _, as := range []int{1, 3} {
+					for _, kn := range []int{1, 2, 5} {
+						for _, skip := range []bool{false, true} {
+							checkPanel(t, rng, n, off, as, kn, skip)
+						}
 					}
 				}
 			}
@@ -233,41 +226,82 @@ func TestAxpy4Bounds(t *testing.T) {
 	})
 }
 
-// BenchmarkKernels reports GFLOP/s for each product at the Default LSTM
-// step shapes, on the AVX and the pure-Go path, serially.
+func checkPanel(t *testing.T, rng *rand.Rand, n, off, as, kn int, skip bool) {
+	t.Helper()
+	buf := make([]float64, off+n+5)
+	for i := range buf {
+		buf[i] = rng.NormFloat64()
+	}
+	a := make([]float64, kn*as)
+	for i := range a {
+		if a[i] = rng.NormFloat64(); rng.Intn(3) == 0 {
+			a[i] = 0
+		}
+	}
+	bs := n + off
+	b := make([]float64, off+kn*bs)[off:]
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	want := append([]float64(nil), buf...)
+	for k := 0; k < kn; k++ {
+		av := a[k*as]
+		if skip && av == 0 {
+			continue
+		}
+		for j := 0; j < n; j++ {
+			want[off+j] += float64(av * b[k*bs+j])
+		}
+	}
+	panel(buf[off:off+n], a, as, b, bs, kn, skip)
+	for i, v := range buf {
+		if math.Float64bits(v) != math.Float64bits(want[i]) {
+			t.Fatalf("n=%d off=%d as=%d kn=%d skip=%v: buf[%d] = %v, want %v", n, off, as, kn, skip, i, v, want[i])
+		}
+	}
+}
+
+// BenchmarkKernels reports GFLOP/s for each product on every panel body,
+// serially: at the Default LSTM step shapes, the backward dz·Wᵀ shapes,
+// and a ReLU-sparse arm in which the in-kernel zero skip runs.
 func BenchmarkKernels(b *testing.B) {
 	SetParallelism(1)
 	defer SetParallelism(0)
-	defer func(saved bool) { useAVX = saved }(useAVX)
+	defer func(saved simdLevel) { simd = saved }(simd)
 	rng := rand.New(rand.NewSource(5))
-	for _, path := range []string{"avx", "generic"} {
-		for _, s := range kernelShapes[:4] {
-			m, k, n := s[0], s[1], s[2]
-			a, x, xt, at := RandNormal(rng, m, k, 1), RandNormal(rng, k, n, 1), RandNormal(rng, n, k, 1), RandNormal(rng, k, m, 1)
-			dst := New(m, n)
-			xtt := xt.Transpose()
-			ops := []struct {
-				name string
-				run  func() error
-			}{
-				{"matmul", func() error { return MatMulInto(dst, a, x) }},
-				{"matmul_t", func() error { return MatMulTInto(dst, a, xt) }},
-				{"matmul_t_pre", func() error { return MatMulTPreInto(dst, a, xtt) }},
-				{"tmatmul_add", func() error { return TMatMulAddInto(dst, at, x) }},
-			}
-			for _, op := range ops {
-				b.Run(fmt.Sprintf("%s/%s/%dx%dx%d", path, op.name, m, k, n), func(b *testing.B) {
-					if path == "avx" && !detectAVX() {
-						b.Skip("CPU or OS lacks AVX")
-					}
-					useAVX = path == "avx"
-					for i := 0; i < b.N; i++ {
-						if err := op.run(); err != nil {
-							b.Fatal(err)
+	for _, path := range simdPaths {
+		for _, kind := range []string{"dense", "sparse"} {
+			for _, s := range kernelShapes[:7] {
+				m, k, n := s[0], s[1], s[2]
+				a, x, xt, at := New(m, k), New(k, n), New(n, k), New(k, m)
+				for _, mm := range []*Matrix{a, x, xt, at} {
+					fillValues(rng, mm, kind)
+				}
+				dst := New(m, n)
+				xtt := xt.Transpose()
+				ops := []struct {
+					name string
+					run  func() error
+				}{
+					{"matmul", func() error { return MatMulInto(dst, a, x) }},
+					{"matmul_t", func() error { return MatMulTInto(dst, a, xt) }},
+					{"matmul_t_pre", func() error { return MatMulTPreInto(dst, a, xtt) }},
+					{"tmatmul_add", func() error { return TMatMulAddInto(dst, at, x) }},
+				}
+				for _, op := range ops {
+					b.Run(fmt.Sprintf("%s/%s/%s/%dx%dx%d", path.name, kind, op.name, m, k, n), func(b *testing.B) {
+						if path.level > detectSIMD() {
+							b.Skipf("CPU or OS lacks %s", path.name)
 						}
-					}
-					b.ReportMetric(2*float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-				})
+						simd = path.level
+						for i := 0; i < b.N; i++ {
+							if err := op.run(); err != nil {
+								b.Fatal(err)
+							}
+						}
+						b.ReportMetric(2*float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+					})
+				}
 			}
 		}
 	}

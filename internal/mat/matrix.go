@@ -7,25 +7,33 @@
 // # Kernel contract
 //
 // Every f64 product (MatMul, MatMulT, TMatMul and their Into forms) runs
-// through one primitive that adds four rank-1 updates to an output row:
-// o[j] = (((o[j] + a0·b0[j]) + a1·b1[j]) + a2·b2[j]) + a3·b3[j]. Each
-// product and each sum is rounded separately, in ascending k: no fused
-// multiply-add and no reassociation, so every output element is
-// bit-identical to the naive one-add-per-k loop.
+// through one primitive, panel, which adds a sequence of rank-1 updates to
+// one output row: o[j] += Σₖ a[k·as]·b[k·bs+j]. Each product and each sum
+// is rounded separately, in ascending k: no fused multiply-add and no
+// reassociation, so every output element is bit-identical to the naive
+// one-add-per-k loop. The zero-skipping products (MatMul, TMatMul) test
+// each multiplier for ±0 inside the primitive and skip that k, exactly as
+// the naive loop does.
 //
-// On amd64 the primitive runs 4 lanes at a time in assembly (VMULPD, then
-// VADDPD) when CPUID reports AVX and the OS saves the YMM state (OSXSAVE
-// set and XGETBV enabling XMM and YMM). Otherwise, and on every other
-// GOARCH, a pure-Go loop with the same rounding runs instead. The choice
-// is made once at start-up; no flag or environment variable changes it,
-// and both paths give the same bits.
+// On amd64, panel runs in assembly and holds a strip of output columns in
+// registers across all of k, storing it once: 32 columns in four ZMM
+// registers when CPUID reports AVX-512F and XGETBV shows the OS saving
+// the opmask and ZMM state (XCR0 bits 1, 2, 5, 6, 7); otherwise 16 columns
+// in four YMM registers when it reports AVX and OSXSAVE with XCR0 bits 1
+// and 2. Narrower strips and a masked last strip finish the row. Each k
+// is one VMULPD and one VADDPD per register. Without AVX, and on every
+// other GOARCH, a pure-Go loop with the same rounding runs instead. The
+// choice is made once at start-up; no flag or environment variable
+// changes it, and every path gives the same bits.
 //
 // a × bᵀ goes through a transpose. Streaming bᵀ's rows through the
 // primitive makes the inner loop contiguous, unlike a dot product over
 // b's rows, and adding every product (no zero skip) in ascending k is
 // exactly that dot product, non-finite values included. MatMulTPreInto
 // takes a transpose made once by the caller (TransposeInto), which is how
-// the nn layers reuse Wᵀ across a whole backward pass.
+// the nn layers reuse Wᵀ across a whole backward pass. aᵀ × b runs one
+// panel per output row i, with column i of a (stride a.cols) as the
+// multipliers.
 package mat
 
 import (
@@ -260,9 +268,8 @@ func MatMulTPreInto(dst, a, bt *Matrix) error {
 }
 
 // TMatMul returns aᵀ × b. The product stays on the calling goroutine: its
-// k-outer accumulation cannot be split across rows without reordering sums,
-// and its operands on the training path are per-block minibatch slices that
-// are too small to amortize a fan-out.
+// operands on the training path are per-block minibatch slices that are
+// too small to amortize a fan-out.
 func TMatMul(a, b *Matrix) (*Matrix, error) {
 	if a.rows != b.rows {
 		return nil, fmt.Errorf("%w: TMatMul (%dx%d)ᵀ × %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)

@@ -17,9 +17,9 @@ import (
 // input gradients of adversarial training) runs through this package, so
 // a kernel change that moves a single rounding anywhere fails here instead
 // of silently invalidating cached monitors. The widths are chosen so the
-// products hit both the 4-wide kernel body and its scalar tails, and both
-// kernel paths (AVX and pure Go) must reproduce the digests, which were
-// computed before the AVX path existed.
+// products end in narrow strips and masked tails as well as full strips,
+// and every kernel path (AVX-512, AVX and pure Go) must reproduce the
+// digests, which were computed before any SIMD path existed.
 func TestTrainedMonitorDigestsPinned(t *testing.T) {
 	mat.KernelPaths(t, testTrainedMonitorDigests)
 }

@@ -111,6 +111,12 @@ func (d *Dense) Replicate() Layer {
 // Backward implements Layer. The returned gradient is layer-owned scratch,
 // valid until the next Forward/Backward on this layer.
 func (d *Dense) Backward(gradOut *mat.Matrix) (*mat.Matrix, error) {
+	return d.backward(gradOut, true)
+}
+
+// backward accumulates the parameter gradients and, with inputGrad, returns
+// dx = gy·Wᵀ.
+func (d *Dense) backward(gradOut *mat.Matrix, inputGrad bool) (*mat.Matrix, error) {
 	if d.lastInput == nil {
 		return nil, ErrNotReady
 	}
@@ -119,6 +125,9 @@ func (d *Dense) Backward(gradOut *mat.Matrix) (*mat.Matrix, error) {
 	}
 	if err := mat.AddSumRows(d.b.G, gradOut); err != nil {
 		return nil, fmt.Errorf("nn: dense backward db: %w", err)
+	}
+	if !inputGrad {
+		return nil, nil
 	}
 	if d.wt == nil {
 		d.wt = mat.New(d.out, d.in)

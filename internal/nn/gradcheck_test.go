@@ -71,7 +71,7 @@ func analyticGrads(t *testing.T, m *Model, x *mat.Matrix, labels []int, know []f
 		t.Fatalf("loss: %v", err)
 	}
 	ZeroGrads(m.Params())
-	gin, err := m.backward(gradLogits)
+	gin, err := m.backward(gradLogits, true)
 	if err != nil {
 		t.Fatalf("backward: %v", err)
 	}
@@ -191,4 +191,55 @@ func TestGradCheckTanhSigmoidLayers(t *testing.T) {
 	x := mat.RandNormal(rng, 4, 3, 1)
 	labels := []int{0, 1, 1, 0}
 	checkModelGradients(t, m, x, labels, nil, 1e-4)
+}
+
+// TestParamOnlyBackwardMatchesFull pins the training step's shortcut: a
+// backward pass that skips the first layer's input gradient (and the LSTM's
+// unread step-0 recurrent gradient) leaves every parameter gradient
+// bit-identical to the full pass, for a Dense and an LSTM first layer.
+func TestParamOnlyBackwardMatchesFull(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	mlp, err := NewMLPClassifier(rng, 5, MLPConfig{Hidden1: 7, Hidden2: 4, Classes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lstm, err := NewLSTMClassifier(rng, 2, LSTMConfig{Hidden1: 4, Hidden2: 3, Steps: 4, Classes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*Model{mlp, lstm} {
+		x := mat.RandNormal(rng, 6, m.InputSize(), 1)
+		labels := []int{1, 0, 1, 1, 0, 0}
+		grads := func(inputGrad bool) []*mat.Matrix {
+			logits, err := m.Forward(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, gradLogits, err := m.Loss().Compute(logits, labels, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ZeroGrads(m.Params())
+			gin, err := m.backward(gradLogits, inputGrad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (gin != nil) != inputGrad {
+				t.Fatalf("backward(inputGrad=%v) returned input gradient %v", inputGrad, gin)
+			}
+			var gs []*mat.Matrix
+			for _, p := range m.Params() {
+				gs = append(gs, p.G.Clone())
+			}
+			return gs
+		}
+		full, paramOnly := grads(true), grads(false)
+		for i, p := range m.Params() {
+			for j, v := range paramOnly[i].Data() {
+				if math.Float64bits(v) != math.Float64bits(full[i].Data()[j]) {
+					t.Fatalf("%s %q[%d] = %v, full backward gives %v", m.Layers()[0].Name(), p.Name, j, v, full[i].Data()[j])
+				}
+			}
+		}
+	}
 }

@@ -65,6 +65,15 @@ type Layer interface {
 	Params() []*Param
 }
 
+// inputGradSkipper is implemented by layers whose backward pass can skip
+// the input-gradient product. Without inputGrad, backward accumulates
+// exactly the parameter gradients Backward does and returns nil: the
+// training step asks this of the first layer, whose input gradient nothing
+// reads.
+type inputGradSkipper interface {
+	backward(gradOut *mat.Matrix, inputGrad bool) (*mat.Matrix, error)
+}
+
 // cloneParam deep-copies a parameter with a fresh (zeroed) gradient.
 func cloneParam(p *Param) *Param {
 	return newParam(p.Name, p.W.Clone())

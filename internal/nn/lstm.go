@@ -350,6 +350,13 @@ func lstmCell(c, tc, h, cPrev, i, f, g, o *mat.Matrix) {
 // Backward implements Layer. The returned gradient is layer-owned scratch,
 // valid until the next Forward/Backward on this layer.
 func (l *LSTM) Backward(gradOut *mat.Matrix) (*mat.Matrix, error) {
+	return l.backward(gradOut, true)
+}
+
+// backward runs backpropagation through time, accumulating the parameter
+// gradients and, with inputGrad, returning the gradient with respect to
+// every step's input.
+func (l *LSTM) backward(gradOut *mat.Matrix, inputGrad bool) (*mat.Matrix, error) {
 	ws := l.cache
 	if ws == nil {
 		return nil, ErrNotReady
@@ -369,8 +376,10 @@ func (l *LSTM) Backward(gradOut *mat.Matrix) (*mat.Matrix, error) {
 		l.wxT = mat.New(4*H, l.inputSize)
 		l.whT = mat.New(4*H, H)
 	}
-	if err := mat.TransposeInto(l.wxT, l.wx.W); err != nil {
-		return nil, err
+	if inputGrad {
+		if err := mat.TransposeInto(l.wxT, l.wx.W); err != nil {
+			return nil, err
+		}
 	}
 	if err := mat.TransposeInto(l.whT, l.wh.W); err != nil {
 		return nil, err
@@ -446,17 +455,24 @@ func (l *LSTM) Backward(gradOut *mat.Matrix) (*mat.Matrix, error) {
 			return nil, err
 		}
 
-		// Input and recurrent gradients.
-		if err := mat.MatMulTPreInto(ws.dxt, dz, l.wxT); err != nil {
-			return nil, err
+		// Input and recurrent gradients. dhNext is read only by step t−1.
+		if inputGrad {
+			if err := mat.MatMulTPreInto(ws.dxt, dz, l.wxT); err != nil {
+				return nil, err
+			}
+			if err := gradX.SetCols(t*l.inputSize, ws.dxt); err != nil {
+				return nil, err
+			}
 		}
-		if err := gradX.SetCols(t*l.inputSize, ws.dxt); err != nil {
-			return nil, err
-		}
-		if err := mat.MatMulTPreInto(dhNext, dz, l.whT); err != nil {
-			return nil, err
+		if t > 0 {
+			if err := mat.MatMulTPreInto(dhNext, dz, l.whT); err != nil {
+				return nil, err
+			}
 		}
 		dcNext, dcPrev = dcPrev, dcNext
+	}
+	if !inputGrad {
+		return nil, nil
 	}
 	return gradX, nil
 }
