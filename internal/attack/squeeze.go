@@ -51,7 +51,7 @@ func (s *FeatureSqueezer) fill() {
 // of x.
 func (s *FeatureSqueezer) Squeeze(x *mat.Matrix) *mat.Matrix {
 	s.fill()
-	levels := math.Pow(2, float64(s.BitDepth)) - 1
+	levels := math.Ldexp(1, s.BitDepth) - 1
 	out := x.Apply(func(v float64) float64 {
 		c := (v + s.QuantRange) / (2 * s.QuantRange) // → [0,1]
 		if c < 0 {

@@ -1,5 +1,5 @@
 // Package lint implements apslint, the repo-invariant static-analysis
-// suite. Five analyzers turn the invariants every subsystem leans on into
+// suite. Six analyzers turn the invariants every subsystem leans on into
 // compile-time properties:
 //
 //   - detpure: determinism-critical packages must not read wall clocks,
@@ -14,6 +14,10 @@
 //   - viewsafe: dataset.Sample's feature columns may be read-only views
 //     into mmap-ed artifact pages; element writes through them must copy
 //     the column first.
+//   - hostmath: determinism-critical packages must not use the math
+//     functions whose bits depend on the host (math.Exp, Tanh, Log and
+//     kin, math.Pow without a constant integer exponent); the mat slab
+//     functions Exp, Sigmoid and Tanh replace them.
 //
 // The framework deliberately mirrors the golang.org/x/tools/go/analysis
 // API shape (Analyzer/Pass/Diagnostic) so the suite can be rebased onto
@@ -86,7 +90,7 @@ func (d Diagnostic) String() string {
 }
 
 // All is the full analyzer suite in the order diagnostics are grouped.
-var All = []*Analyzer{Detpure, Fpcomplete, Budgetguard, Fixedorder, Viewsafe}
+var All = []*Analyzer{Detpure, Fpcomplete, Budgetguard, Fixedorder, Viewsafe, Hostmath}
 
 // ByName returns the analyzer with the given name, or nil.
 func ByName(name string) *Analyzer {
@@ -124,7 +128,7 @@ var detCritical = map[string]bool{
 }
 
 // DeterminismCritical reports whether the determinism analyzers (detpure,
-// budgetguard, fixedorder) apply to the package. fpcomplete ignores this
+// budgetguard, fixedorder, hostmath) apply to the package. fpcomplete ignores this
 // policy: fingerprint completeness has no exempt packages.
 func DeterminismCritical(pkgPath string) bool {
 	return detCritical[pkgPath]

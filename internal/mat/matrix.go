@@ -34,6 +34,23 @@
 // the nn layers reuse Wᵀ across a whole backward pass. aᵀ × b runs one
 // panel per output row i, with column i of a (stride a.cols) as the
 // multipliers.
+//
+// # Activation slabs
+//
+// Exp, Sigmoid and Tanh apply one nonlinearity to a whole dst, src slab,
+// under the same contract: one fixed algorithm whose every operation is a
+// separately rounded add, multiply or divide, so every host gives the same
+// bits. math.Exp does not: on amd64 it runs an FMA body when the CPU has
+// FMA, and math.Tanh calls it. exp takes k = (x·log2e + 1.5·2⁵²) − 1.5·2⁵²,
+// reduces r = (x − k·ln2Hi) − k·ln2Lo, evaluates the degree-13 Taylor
+// polynomial of eʳ in Horner form and scales by 2ᵏ through the exponent
+// bits in two exact-then-rounded steps, which reach the subnormals and
+// +Inf correctly. sigmoid(x) = 1/(1 + exp(−x)) and tanh(x) = ±(1 −
+// 2/(exp(2|x|) + 1)) with the sign of x. The scalar Go loop (expGo,
+// sigmoidGo, tanhGo) is the reference; when the panel body is AVX-512, an
+// assembly body runs the same operation sequence eight lanes at a time.
+// Every other host, AVX-only amd64 included, runs the reference, which is
+// correct everywhere but slower than math.Exp.
 package mat
 
 import (
@@ -422,25 +439,6 @@ func (m *Matrix) Apply(f func(float64) float64) *Matrix {
 		out.data[i] = f(v)
 	}
 	return out
-}
-
-// ApplyInto computes dst = f(src) elementwise into a caller-owned
-// destination (the allocation-free form of Apply for training scratch).
-func ApplyInto(dst, src *Matrix, f func(float64) float64) error {
-	if dst.rows != src.rows || dst.cols != src.cols {
-		return fmt.Errorf("%w: ApplyInto %dx%d from %dx%d", ErrShape, dst.rows, dst.cols, src.rows, src.cols)
-	}
-	for i, v := range src.data {
-		dst.data[i] = f(v)
-	}
-	return nil
-}
-
-// ApplyInPlace applies f elementwise in place.
-func (m *Matrix) ApplyInPlace(f func(float64) float64) {
-	for i, v := range m.data {
-		m.data[i] = f(v)
-	}
 }
 
 // AddRowVector adds a 1×cols row vector to every row of m, in place.

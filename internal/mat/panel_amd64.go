@@ -37,6 +37,12 @@ func panelAVX512(o, a, b *float64, n, kn, as, bs int, skip bool)
 //go:noescape
 func panelAVX(o, a, b *float64, n, kn, as, bs int, skip bool)
 
+// activateAVX512 is the assembly body of activate (see
+// activation_amd64.s); n must be at least 1.
+//
+//go:noescape
+func activateAVX512(dst, src *float64, n int, kind actKind)
+
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)

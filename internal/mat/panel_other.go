@@ -12,3 +12,7 @@ func panelAVX512(o, a, b *float64, n, kn, as, bs int, skip bool) {
 func panelAVX(o, a, b *float64, n, kn, as, bs int, skip bool) {
 	panic("mat: panelAVX called off amd64")
 }
+
+func activateAVX512(dst, src *float64, n int, kind actKind) {
+	panic("mat: activateAVX512 called off amd64")
+}

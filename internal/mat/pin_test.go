@@ -14,12 +14,14 @@ import (
 // TestTrainedMonitorDigestsPinned trains one small seeded monitor per
 // architecture and pins the SHA-256 of its saved bytes. Every f64 product
 // of training (forward, weight gradients, input gradients, and the FGSM
-// input gradients of adversarial training) runs through this package, so
-// a kernel change that moves a single rounding anywhere fails here instead
-// of silently invalidating cached monitors. The widths are chosen so the
-// products end in narrow strips and masked tails as well as full strips,
-// and every kernel path (AVX-512, AVX and pure Go) must reproduce the
-// digests, which were computed before any SIMD path existed.
+// input gradients of adversarial training) and every exp, sigmoid and tanh
+// runs through this package, so a kernel change that moves a single
+// rounding anywhere fails here instead of silently invalidating cached
+// monitors. The widths are chosen so the products and activation slabs end
+// in narrow strips and masked tails as well as full strips, and every
+// kernel path (AVX-512, AVX and pure Go) must reproduce the digests. They
+// were re-pinned with monitor.FormatVersion 3, when the activations left
+// math.Exp and math.Tanh, whose amd64 results depend on the CPU's FMA.
 func TestTrainedMonitorDigestsPinned(t *testing.T) {
 	mat.KernelPaths(t, testTrainedMonitorDigests)
 }
@@ -34,11 +36,11 @@ func testTrainedMonitorDigests(t *testing.T) {
 		{"mlp_custom_advtrain", dataset.Glucosym, monitor.TrainConfig{
 			Arch: monitor.ArchMLP, Semantic: true, AdversarialEps: 0.05,
 			Epochs: 3, Hidden1: 30, Hidden2: 14, Seed: 11,
-		}, "6a7d8c4af91cee87bb81cf0d9738dcf2aa3643bf5a4f5bdfb2b94b5bd5bb70bb"},
+		}, "3c73beb7aa3e200baba7e19c5ae90ea8475305c98bec579d6bb622da16976cc4"},
 		{"lstm_custom_advtrain", dataset.T1DS, monitor.TrainConfig{
 			Arch: monitor.ArchLSTM, Semantic: true, AdversarialEps: 0.05,
 			Epochs: 2, Hidden1: 20, Hidden2: 10, Seed: 11,
-		}, "b5ca58b184291c3e3aa46b7bc969b0164934bbe89be0d2b882b05ca119aa0b3e"},
+		}, "a6859d51c2c6bade3861aa8a20d77e056284c5e0bad03498f8a12e54cabac6da"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -139,14 +139,6 @@ func TestAddBiasAndApply(t *testing.T) {
 		}
 	}
 
-	dst := New(2, 3)
-	if err := ApplyInto(dst, m, func(v float32) float32 { return -v }); err != nil {
-		t.Fatal(err)
-	}
-	if dst.At(1, 2) != -36 {
-		t.Fatalf("ApplyInto = %v, want -36", dst.At(1, 2))
-	}
-
 	neg, err := FromSlice(1, 4, []float32{-1, 2, -3, 4})
 	if err != nil {
 		t.Fatal(err)

@@ -121,17 +121,6 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// AddInPlace adds b into m.
-func (m *Matrix) AddInPlace(b *Matrix) error {
-	if m.rows != b.rows || m.cols != b.cols {
-		return fmt.Errorf("%w: AddInPlace %dx%d += %dx%d", ErrShape, m.rows, m.cols, b.rows, b.cols)
-	}
-	for i, v := range b.data {
-		m.data[i] += v
-	}
-	return nil
-}
-
 // MatMulInto computes dst = a × b. Every element of dst is overwritten; dst
 // must not alias a or b. Products above the flop cutoff split into row
 // blocks across goroutines drawn from the shared sweep budget; each output
@@ -188,21 +177,8 @@ func AddBias(m, bias *Matrix) error {
 	return nil
 }
 
-// ApplyInto computes dst = f(src) elementwise into a caller-owned
-// destination.
-func ApplyInto(dst, src *Matrix, f func(float32) float32) error {
-	if dst.rows != src.rows || dst.cols != src.cols {
-		return fmt.Errorf("%w: ApplyInto %dx%d from %dx%d", ErrShape, dst.rows, dst.cols, src.rows, src.cols)
-	}
-	for i, v := range src.data {
-		dst.data[i] = f(v)
-	}
-	return nil
-}
-
-// ReLUInto computes dst = max(src, 0) elementwise — the branch-light special
-// case of ApplyInto on the frozen MLP hot path (no per-element function
-// call).
+// ReLUInto computes dst = max(src, 0) elementwise, on the frozen MLP hot
+// path.
 func ReLUInto(dst, src *Matrix) error {
 	if dst.rows != src.rows || dst.cols != src.cols {
 		return fmt.Errorf("%w: ReLUInto %dx%d from %dx%d", ErrShape, dst.rows, dst.cols, src.rows, src.cols)

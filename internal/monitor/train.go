@@ -58,7 +58,13 @@ type TrainConfig struct {
 // LSTM backward now accumulates multi-step parameter gradients in place;
 // both change trained weights relative to the v1 whole-batch path
 // (bit-level, not statistically).
-const FormatVersion = 2
+//
+// Version 3: every training nonlinearity (LSTM gates and cell, Tanh and
+// Sigmoid layers, the softmax of the losses) runs the mat slab functions
+// Exp, Sigmoid and Tanh instead of math.Exp and math.Tanh, whose amd64
+// results depend on whether the CPU has FMA. Trained weights are now the
+// same on every host, and differ in bits from version 2.
+const FormatVersion = 3
 
 // Fingerprint hashes the canonicalized training configuration (after
 // defaults are filled). Knobs that cannot affect the trained weights are

@@ -88,15 +88,15 @@ func (t *Tanh) OutputSize(inputSize int) (int, error) { return inputSize, nil }
 // valid until the next Forward on this layer.
 func (t *Tanh) Forward(x *mat.Matrix) (*mat.Matrix, error) {
 	t.out = t.outs.get(x.Rows(), x.Cols())
-	if err := mat.ApplyInto(t.out, x, math.Tanh); err != nil {
-		return nil, err
-	}
+	mat.Tanh(t.out.Data(), x.Data())
 	return t.out, nil
 }
 
 // Infer implements Layer.
 func (t *Tanh) Infer(x *mat.Matrix) (*mat.Matrix, error) {
-	return x.Apply(math.Tanh), nil
+	out := mat.New(x.Rows(), x.Cols())
+	mat.Tanh(out.Data(), x.Data())
+	return out, nil
 }
 
 // CloneLayer implements Layer.
@@ -145,15 +145,15 @@ func (s *Sigmoid) OutputSize(inputSize int) (int, error) { return inputSize, nil
 // valid until the next Forward on this layer.
 func (s *Sigmoid) Forward(x *mat.Matrix) (*mat.Matrix, error) {
 	s.out = s.outs.get(x.Rows(), x.Cols())
-	if err := mat.ApplyInto(s.out, x, sigmoid); err != nil {
-		return nil, err
-	}
+	mat.Sigmoid(s.out.Data(), x.Data())
 	return s.out, nil
 }
 
 // Infer implements Layer.
 func (s *Sigmoid) Infer(x *mat.Matrix) (*mat.Matrix, error) {
-	return x.Apply(sigmoid), nil
+	out := mat.New(x.Rows(), x.Cols())
+	mat.Sigmoid(out.Data(), x.Data())
+	return out, nil
 }
 
 // CloneLayer implements Layer.
@@ -181,26 +181,30 @@ func (s *Sigmoid) Backward(gradOut *mat.Matrix) (*mat.Matrix, error) {
 // Params implements Layer.
 func (s *Sigmoid) Params() []*Param { return nil }
 
-func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
-
-// Softmax converts a row of logits into a probability distribution. It is
+// Softmax converts each row of logits into a probability distribution:
+// the row maximum is subtracted, one mat.Exp runs over the whole matrix,
+// and each row is divided by its sum, accumulated in column order. It is
 // provided as a standalone function because the losses fuse softmax with
 // their gradient for numerical stability.
 func Softmax(logits *mat.Matrix) *mat.Matrix {
 	out := mat.New(logits.Rows(), logits.Cols())
 	for i := 0; i < logits.Rows(); i++ {
-		row := logits.Row(i)
+		row, orow := logits.Row(i), out.Row(i)
 		mx := math.Inf(-1)
 		for _, v := range row {
 			if v > mx {
 				mx = v
 			}
 		}
-		var sum float64
-		orow := out.Row(i)
 		for j, v := range row {
-			e := math.Exp(v - mx)
-			orow[j] = e
+			orow[j] = v - mx
+		}
+	}
+	mat.Exp(out.Data(), out.Data())
+	for i := 0; i < out.Rows(); i++ {
+		orow := out.Row(i)
+		var sum float64
+		for _, e := range orow {
 			sum += e
 		}
 		for j := range orow {

@@ -2,9 +2,9 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
+	"repro/internal/mat"
 	"repro/internal/mat32"
 )
 
@@ -30,6 +30,7 @@ type InferModel struct {
 // workspace reused at a steady batch size allocates nothing.
 type inferWorkspace struct {
 	slots []any
+	conf  []float64 // ClassifyInto's softmax scratch, one row per logit row
 }
 
 // inferLayer is a frozen, read-only layer: infer computes the layer output
@@ -155,16 +156,39 @@ func (im *InferModel) ClassifyInto(x *mat32.Matrix, classes []int, conf []float6
 			}
 		}
 		classes[i] = best
-		if conf != nil {
-			mx := float64(row[best])
-			var sum float64
-			for _, v := range row {
-				sum += math.Exp(float64(v) - mx)
-			}
-			conf[i] = 1 / sum
+	}
+	if conf == nil {
+		return nil
+	}
+	// The winning class's softmax probability, 1/Σⱼ exp(zⱼ − z_best): the
+	// shifted logits of the whole block are widened to float64, go through
+	// one mat.Exp, and each row's sum accumulates in column order.
+	k := logits.Cols()
+	ws.conf = growF64(ws.conf, logits.Rows()*k)
+	for i := 0; i < logits.Rows(); i++ {
+		row, mx := logits.Row(i), float64(logits.At(i, classes[i]))
+		for j, v := range row {
+			ws.conf[i*k+j] = float64(v) - mx
 		}
 	}
+	mat.Exp(ws.conf, ws.conf)
+	for i := range conf {
+		var sum float64
+		for _, e := range ws.conf[i*k : (i+1)*k] {
+			sum += e
+		}
+		conf[i] = 1 / sum
+	}
 	return nil
+}
+
+// growF64 returns buf resliced to n elements, reallocated only when its
+// capacity is short.
+func growF64(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // denseInfer is the frozen fully-connected layer: y = x·W + b.
@@ -191,9 +215,17 @@ func (d *denseInfer) infer(slot *any, x *mat32.Matrix) (*mat32.Matrix, error) {
 	return y, nil
 }
 
-// actInfer is a frozen elementwise activation.
+// actInfer is a frozen elementwise activation. Tanh and sigmoid widen the
+// input to float64, run the mat slab function over it and narrow the result.
 type actInfer struct {
 	kind actKind
+}
+
+// actScratch is an activation's per-workspace output and, for tanh and
+// sigmoid, its float64 slab.
+type actScratch struct {
+	y    *mat32.Matrix
+	wide []float64
 }
 
 type actKind int
@@ -216,30 +248,35 @@ func (a *actInfer) name() string {
 }
 
 func (a *actInfer) infer(slot *any, x *mat32.Matrix) (*mat32.Matrix, error) {
-	y, ok := (*slot).(*mat32.Matrix)
-	if !ok || y.Rows() != x.Rows() || y.Cols() != x.Cols() {
-		y = mat32.New(x.Rows(), x.Cols())
-		*slot = y
+	sc, ok := (*slot).(*actScratch)
+	if !ok || sc.y.Rows() != x.Rows() || sc.y.Cols() != x.Cols() {
+		sc = &actScratch{y: mat32.New(x.Rows(), x.Cols())}
+		*slot = sc
 	}
-	switch a.kind {
-	case actReLU:
-		return y, mat32.ReLUInto(y, x)
-	case actTanh:
-		return y, mat32.ApplyInto(y, x, tanh32)
-	default:
-		return y, mat32.ApplyInto(y, x, sigmoid32)
+	if a.kind == actReLU {
+		return sc.y, mat32.ReLUInto(sc.y, x)
 	}
+	xd := x.Data()
+	sc.wide = growF64(sc.wide, len(xd))
+	wide, yd := sc.wide[:len(xd)], sc.y.Data()[:len(xd)]
+	for i, v := range xd {
+		wide[i] = float64(v)
+	}
+	if a.kind == actTanh {
+		mat.Tanh(wide, wide)
+	} else {
+		mat.Sigmoid(wide, wide)
+	}
+	for i, v := range wide {
+		yd[i] = float32(v)
+	}
+	return sc.y, nil
 }
 
-func tanh32(v float32) float32 { return float32(math.Tanh(float64(v))) }
-
-func sigmoid32(v float32) float32 { return float32(1 / (1 + math.Exp(-float64(v)))) }
-
-// lstmInfer is the frozen recurrent layer. Instead of materializing the four
-// gate matrices like the training path, the gate nonlinearities, the cell
-// update and the hidden update are fused into one elementwise pass per step
-// over the packed pre-activations — the frozen path needs no per-gate
-// backward state.
+// lstmInfer is the frozen recurrent layer. Each step widens the packed
+// float32 pre-activations into one gate-major float64 slab, activates it
+// with three mat slab calls, and runs the cell and hidden updates in
+// float32, taking tanh(c) from one more slab call.
 type lstmInfer struct {
 	inputSize  int
 	hidden     int
@@ -259,6 +296,8 @@ type lstmInferScratch struct {
 	z, zh  *mat32.Matrix // packed pre-activations (batch × 4·hidden)
 	h, c   *mat32.Matrix // hidden / cell state (batch × hidden)
 	seqOut *mat32.Matrix // stacked hidden states when returnSeqs
+	gates  []float64     // activated gates [i | f | g | o], each batch × hidden
+	tc     []float64     // tanh(c) (batch × hidden)
 }
 
 func (l *lstmInfer) name() string { return "lstm" }
@@ -278,6 +317,8 @@ func (l *lstmInfer) infer(slot *any, x *mat32.Matrix) (*mat32.Matrix, error) {
 			zh:    mat32.New(batch, 4*H),
 			h:     mat32.New(batch, H),
 			c:     mat32.New(batch, H),
+			gates: make([]float64, 4*batch*H),
+			tc:    make([]float64, batch*H),
 		}
 		if l.returnSeqs {
 			ws.seqOut = mat32.New(batch, l.steps*H)
@@ -296,28 +337,34 @@ func (l *lstmInfer) infer(slot *any, x *mat32.Matrix) (*mat32.Matrix, error) {
 		if err := mat32.MatMulInto(ws.zh, ws.h, l.wh); err != nil {
 			return nil, fmt.Errorf("nn: lstm infer Wh step %d: %w", t, err)
 		}
-		if err := ws.z.AddInPlace(ws.zh); err != nil {
-			return nil, err
-		}
-		if err := mat32.AddBias(ws.z, l.b); err != nil {
-			return nil, err
-		}
-		// Fused gate/cell/hidden update (gate layout [i|f|g|o]). zh was
-		// computed from the previous h above, so updating h and c in place
-		// is safe.
+		// The pre-activations (x·Wx + h·Wh) + b, added in float32, go
+		// gate by gate into the float64 slab. zh was computed from the
+		// previous h above, so updating h and c in place is safe.
+		bH, br := batch*H, l.b.Row(0)
 		for i := 0; i < batch; i++ {
-			zr := ws.z.Row(i)
-			cr := ws.c.Row(i)
-			hr := ws.h.Row(i)
-			for j := 0; j < H; j++ {
-				ig := sigmoid32(zr[j])
-				fg := sigmoid32(zr[H+j])
-				gg := tanh32(zr[2*H+j])
-				og := sigmoid32(zr[3*H+j])
-				cv := fg*cr[j] + ig*gg
-				cr[j] = cv
-				hr[j] = og * tanh32(cv)
+			zr, zhr := ws.z.Row(i), ws.zh.Row(i)
+			for q := 0; q < 4; q++ {
+				lo := q * H
+				gr := ws.gates[q*bH+i*H:][:H]
+				xr, hr, bq := zr[lo:][:H], zhr[lo:][:H], br[lo:][:H]
+				for j := range gr {
+					gr[j] = float64((xr[j] + hr[j]) + bq[j])
+				}
 			}
+		}
+		mat.Sigmoid(ws.gates[:2*bH], ws.gates[:2*bH])
+		mat.Tanh(ws.gates[2*bH:3*bH], ws.gates[2*bH:3*bH])
+		mat.Sigmoid(ws.gates[3*bH:], ws.gates[3*bH:])
+		ig, fg, gg, og := ws.gates[:bH], ws.gates[bH:][:bH], ws.gates[2*bH:][:bH], ws.gates[3*bH:][:bH]
+		cd, hd, tc := ws.c.Data()[:bH], ws.h.Data()[:bH], ws.tc[:bH]
+		for k := range cd {
+			cv := float32(float32(fg[k])*cd[k]) + float32(float32(ig[k])*float32(gg[k]))
+			cd[k] = cv
+			tc[k] = float64(cv)
+		}
+		mat.Tanh(tc, tc)
+		for k := range hd {
+			hd[k] = float32(og[k]) * float32(tc[k])
 		}
 		if l.returnSeqs {
 			if err := ws.seqOut.SetCols(t*H, ws.h); err != nil {

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/mat"
@@ -212,14 +211,8 @@ func (l *LSTM) Forward(x *mat.Matrix) (*mat.Matrix, error) {
 		if err := mat.MatMulInto(ws.zh, h, l.wh.W); err != nil {
 			return nil, fmt.Errorf("nn: lstm forward Wh step %d: %w", t, err)
 		}
-		if err := ws.z.AddInPlace(ws.zh); err != nil {
-			return nil, err
-		}
-		if err := ws.z.AddRowVector(l.b.W); err != nil {
-			return nil, err
-		}
 
-		lstmGates(ws.is[t], ws.fs[t], ws.gs[t], ws.os[t], ws.z, H)
+		lstmGates(ws.is[t], ws.fs[t], ws.gs[t], ws.os[t], ws.z, ws.zh, l.b.W, H)
 		lstmCell(ws.cs[t], ws.tcs[t], ws.hs[t], cell, ws.is[t], ws.fs[t], ws.gs[t], ws.os[t])
 		cell, h = ws.cs[t], ws.hs[t]
 
@@ -267,14 +260,8 @@ func (l *LSTM) Infer(x *mat.Matrix) (*mat.Matrix, error) {
 		if err := mat.MatMulInto(zh, h, l.wh.W); err != nil {
 			return nil, fmt.Errorf("nn: lstm forward Wh step %d: %w", t, err)
 		}
-		if err := z.AddInPlace(zh); err != nil {
-			return nil, err
-		}
-		if err := z.AddRowVector(l.b.W); err != nil {
-			return nil, err
-		}
 
-		lstmGates(it, ft, gt, ot, z, H)
+		lstmGates(it, ft, gt, ot, z, zh, l.b.W, H)
 		lstmCell(cell, tc, h, cell, it, ft, gt, ot)
 
 		if l.returnSeqs {
@@ -316,34 +303,44 @@ func (l *LSTM) Replicate() Layer {
 	}
 }
 
-// lstmGates splits the packed pre-activations z = [i | f | g | o] (batch ×
-// 4·H) into the four gate activations in one pass: sigmoid on i, f and o,
-// tanh on g.
-func lstmGates(i, f, g, o, z *mat.Matrix, H int) {
-	for r := 0; r < z.Rows(); r++ {
-		zr := z.Row(r)
-		zi, zf, zg, zo := zr[:H], zr[H:2*H], zr[2*H:3*H], zr[3*H:4*H]
-		ir, fr, gr, or := i.Row(r)[:H], f.Row(r)[:H], g.Row(r)[:H], o.Row(r)[:H]
-		for j := range ir {
-			ir[j] = sigmoid(zi[j])
-			fr[j] = sigmoid(zf[j])
-			gr[j] = math.Tanh(zg[j])
-			or[j] = sigmoid(zo[j])
+// lstmGates forms the packed pre-activations (x·Wx + h·Wh) + b from the
+// two products zx = x·Wx and zh = h·Wh and the bias row b, scattering each
+// gate block of [i | f | g | o] (batch × 4·H) into its own batch × H gate
+// matrix, then activates each gate matrix in one slab call: sigmoid on i,
+// f and o, tanh on g.
+func lstmGates(i, f, g, o, zx, zh, b *mat.Matrix, H int) {
+	gates := [4]*mat.Matrix{i, f, g, o}
+	br := b.Row(0)
+	for r := 0; r < zx.Rows(); r++ {
+		zxr, zhr := zx.Row(r), zh.Row(r)
+		for q, gate := range gates {
+			lo := q * H
+			gr, xr, hr, bq := gate.Row(r)[:H], zxr[lo:lo+H], zhr[lo:lo+H], br[lo:lo+H]
+			for j := range gr {
+				gr[j] = (xr[j] + hr[j]) + bq[j]
+			}
 		}
 	}
+	mat.Sigmoid(i.Data(), i.Data())
+	mat.Sigmoid(f.Data(), f.Data())
+	mat.Tanh(g.Data(), g.Data())
+	mat.Sigmoid(o.Data(), o.Data())
 }
 
-// lstmCell is one step's state update: c = f⊙cPrev + i⊙g, tc = tanh(c) and
-// h = o⊙tc. c may alias cPrev (each element is read before it is written).
+// lstmCell is one step's state update over whole batch × H slabs:
+// c = f⊙cPrev + i⊙g, tc = tanh(c) and h = o⊙tc. c may alias cPrev (each
+// element is read before it is written).
 func lstmCell(c, tc, h, cPrev, i, f, g, o *mat.Matrix) {
-	for r := 0; r < c.Rows(); r++ {
-		cr, tcr, hr, cpr := c.Row(r), tc.Row(r), h.Row(r), cPrev.Row(r)
-		ir, fr, gr, or := i.Row(r), f.Row(r), g.Row(r), o.Row(r)
-		for j := range cr {
-			cr[j] = fr[j]*cpr[j] + ir[j]*gr[j]
-			tcr[j] = math.Tanh(cr[j])
-			hr[j] = or[j] * tcr[j]
-		}
+	cd := c.Data()
+	n := len(cd)
+	cpd, id, fd, gd := cPrev.Data()[:n], i.Data()[:n], f.Data()[:n], g.Data()[:n]
+	for j := range cd {
+		cd[j] = float64(fd[j]*cpd[j]) + float64(id[j]*gd[j])
+	}
+	mat.Tanh(tc.Data(), cd)
+	hd, od, tcd := h.Data()[:n], o.Data()[:n], tc.Data()[:n]
+	for j := range hd {
+		hd[j] = od[j] * tcd[j]
 	}
 }
 

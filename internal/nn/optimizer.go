@@ -107,8 +107,10 @@ func (a *Adam) stateFor(p *Param, n int) (m, v []float64) {
 // Step implements Optimizer.
 func (a *Adam) Step(params []*Param) error {
 	a.t++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	// An integer exponent takes math.Pow's pure-Go repeated squaring,
+	// which only multiplies: the same bits on every host.
+	bc1 := 1 - math.Pow(a.Beta1, float64(a.t)) //apslint:allow hostmath integer exponent, multiplications only
+	bc2 := 1 - math.Pow(a.Beta2, float64(a.t)) //apslint:allow hostmath integer exponent, multiplications only
 	for _, p := range params {
 		w, g := p.W.Data(), p.G.Data()
 		if len(g) != len(w) {
