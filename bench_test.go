@@ -65,11 +65,7 @@ func assets(b *testing.B) *experiments.Assets {
 func benchSweep(b *testing.B, workers int) {
 	a := assets(b)
 	experiments.SetWorkers(workers)
-	mat.SetParallelism(workers)
-	defer func() {
-		experiments.SetWorkers(0)
-		mat.SetParallelism(0)
-	}()
+	defer experiments.SetWorkers(0)
 	if _, err := experiments.Fig5(a); err != nil {
 		b.Fatal(err)
 	}
@@ -600,12 +596,8 @@ func benchTrainMonitor(b *testing.B, simu dataset.Simulator, arch monitor.Arch, 
 	if err != nil {
 		b.Fatal(err)
 	}
-	mat.SetParallelism(workers)
 	sweep.SetBudget(workers)
-	defer func() {
-		mat.SetParallelism(0)
-		sweep.SetBudget(0)
-	}()
+	defer sweep.SetBudget(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := monitor.Train(train, monitor.TrainConfig{
@@ -672,7 +664,7 @@ func BenchmarkEvaluate(b *testing.B) {
 // benchInfer measures one full test-set classification pass of a trained
 // MLP monitor through either the frozen float32 engine (the -precision f32
 // fast path, including the per-call f64→f32 input quantization it pays in
-// production) or the canonical f64 model, at a fixed worker count.
+// production) or the canonical f64 model, at a fixed worker budget.
 func benchInfer(b *testing.B, workers int, f32 bool) {
 	b.Helper()
 	a := assets(b)
@@ -685,12 +677,8 @@ func benchInfer(b *testing.B, workers int, f32 bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mat.SetParallelism(workers)
 	sweep.SetBudget(workers)
-	defer func() {
-		mat.SetParallelism(0)
-		sweep.SetBudget(0)
-	}()
+	defer sweep.SetBudget(0)
 	predict := m.PredictClasses
 	if f32 {
 		predict = m.PredictClassesF32
@@ -707,9 +695,10 @@ func benchInfer(b *testing.B, workers int, f32 bool) {
 }
 
 // BenchmarkInferF32 is the float32 inference engine's headline number:
-// serial and 8-way frozen-twin classification of the bench test set, with
-// the canonical f64 path (f64twin) as the in-run comparison point. Gated in
-// CI against BENCH_BASELINE.json.
+// frozen-twin classification of the bench test set at worker budgets 1
+// and 8, with the canonical f64 path (f64twin) as the in-run comparison
+// point. Inference products run on the calling goroutine, so the two
+// budgets should time alike. Gated in CI against BENCH_BASELINE.json.
 func BenchmarkInferF32(b *testing.B) {
 	b.Run("serial", func(b *testing.B) { benchInfer(b, 1, true) })
 	b.Run("parallel8", func(b *testing.B) { benchInfer(b, 8, true) })

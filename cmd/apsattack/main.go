@@ -21,7 +21,7 @@
 // straight to the attack. Cache events are logged to stderr.
 //
 // -parallel N sets the worker budget shared by monitor training (the
-// minibatch block pipeline), matrix products, and sweeps; trained weights
+// minibatch block pipeline) and sweeps; trained weights
 // and attack outputs are byte-identical at every setting. -precision f32
 // routes monitor inference (clean scoring and the attacked-prediction
 // passes) through the frozen float32 engine; gradient-based attack crafting

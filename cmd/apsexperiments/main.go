@@ -34,8 +34,8 @@
 // profile's episodes are apportioned across the named generators in weight
 // proportion, deterministically.
 //
-// -parallel sets how many goroutines the experiment sweeps and large matrix
-// products fan out to (default: all cores), and doubles as the shared worker
+// -parallel sets how many goroutines the experiment sweeps and monitor
+// training fan out to (default: all cores), and doubles as the shared worker
 // budget that keeps the two layers from multiplying. Output is byte-identical
 // for any worker count: per-cell RNG seeds derive from the config seed and
 // the cell index, never from scheduling.

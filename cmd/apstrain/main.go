@@ -20,11 +20,10 @@
 // settings loads both instead of regenerating and retraining. Cache events
 // are logged to stderr.
 //
-// -parallel N sets the worker budget shared by the training pipeline
-// (minibatch gather/compute overlap + per-block forward/backward fan-out)
-// and the blocked matrix products. The trained model is byte-identical at
-// every setting, so -parallel never changes the cache key or the saved
-// weights.
+// -parallel N sets the worker budget of the training pipeline (minibatch
+// gather/compute overlap + per-block forward/backward fan-out). The
+// trained model is byte-identical at every setting, so -parallel never
+// changes the cache key or the saved weights.
 package main
 
 import (

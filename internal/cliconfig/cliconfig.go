@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/dataset"
-	"repro/internal/mat"
 	"repro/internal/mmapio"
 	"repro/internal/monitor"
 	"repro/internal/sim"
@@ -63,7 +62,7 @@ func AddCommon(fs *flag.FlagSet, d CommonDefaults) *Common {
 	}
 	fs.Int64Var(&c.Seed, "seed", d.Seed, seedUsage)
 	fs.IntVar(&c.Parallel, "parallel", d.Parallel,
-		"worker goroutines for generation, training, evaluation and matrix products (0 = all cores, 1 = serial)")
+		"worker goroutines for generation, training and evaluation (0 = all cores, 1 = serial)")
 	if d.Precision != "" {
 		fs.StringVar(&c.Precision, "precision", d.Precision,
 			"inference arithmetic: f64 (canonical) or f32 (frozen fast path)")
@@ -94,15 +93,14 @@ func (c *Common) Workers() (int, error) {
 }
 
 // ApplyBudget resolves -parallel and installs the process-wide execution
-// knobs every CLI shares: the worker budget (sweep pool + blocked matrix
-// kernels) and the -no-mmap artifact-load switch. Returns the resolved
-// worker count. Every CLI calls it once after Parse.
+// knobs every CLI shares: the sweep worker budget, which caps sweep cells
+// and trainer row blocks together, and the -no-mmap artifact-load switch.
+// Returns the resolved worker count. Every CLI calls it once after Parse.
 func (c *Common) ApplyBudget() (int, error) {
 	n, err := c.Workers()
 	if err != nil {
 		return 0, err
 	}
-	mat.SetParallelism(n)
 	sweep.SetBudget(n)
 	mmapio.SetDisabled(c.NoMmap)
 	return n, nil

@@ -96,13 +96,13 @@ func rank1(o []float64, av float64, brow []float64, skipZeros bool) {
 	}
 }
 
-// matMulRows computes rows [lo, hi) of out += a × b, one panel per output
-// row. With skipZeros, zero multipliers contribute nothing; without it
-// every product is added, which is the ascending-k dot product of a × bᵀ
-// when b holds the transpose.
-func matMulRows(out, a, b *Matrix, lo, hi int, skipZeros bool) {
+// matMulRows computes out += a × b, one panel per output row. With
+// skipZeros, zero multipliers contribute nothing; without it every product
+// is added, which is the ascending-k dot product of a × bᵀ when b holds the
+// transpose.
+func matMulRows(out, a, b *Matrix, skipZeros bool) {
 	ac, bc := a.cols, b.cols
-	for i := lo; i < hi; i++ {
+	for i := 0; i < a.rows; i++ {
 		panel(out.data[i*bc:(i+1)*bc], a.data[i*ac:(i+1)*ac], 1, b.data, bc, ac, skipZeros)
 	}
 }

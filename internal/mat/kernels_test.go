@@ -163,8 +163,6 @@ func requireSameBits(t *testing.T, what string, got, want *Matrix) {
 // ReLU-sparse, and special-valued (±0, subnormal, overflowing, ±Inf, NaN)
 // operands.
 func TestTiledKernelsBitIdenticalToNaive(t *testing.T) {
-	SetParallelism(1)
-	defer SetParallelism(0)
 	kernelPaths(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
 		for _, kind := range []string{"dense", "sparse", "special"} {
@@ -265,8 +263,6 @@ func checkPanel(t *testing.T, rng *rand.Rand, n, off, as, kn int, skip bool) {
 // serially: at the Default LSTM step shapes, the backward dz·Wᵀ shapes,
 // and a ReLU-sparse arm in which the in-kernel zero skip runs.
 func BenchmarkKernels(b *testing.B) {
-	SetParallelism(1)
-	defer SetParallelism(0)
 	defer func(saved simdLevel) { simd = saved }(simd)
 	rng := rand.New(rand.NewSource(5))
 	for _, path := range simdPaths {

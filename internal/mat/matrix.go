@@ -57,8 +57,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"repro/internal/sweep"
 )
 
 // ErrShape is returned (wrapped) by operations whose operand shapes do not
@@ -197,17 +195,15 @@ func (m *Matrix) String() string {
 	return s + "]"
 }
 
-// MatMul returns a × b. Products above a size cutoff are computed by
-// row-blocks across SetParallelism goroutines; the result is byte-identical
-// to the serial path because each output row keeps its serial arithmetic
-// order (the kernels in kernels.go preserve per-element accumulation order
-// exactly).
+// MatMul returns a × b, computed on the calling goroutine with the
+// per-element accumulation order of the naive loop (see the kernel
+// contract).
 func MatMul(a, b *Matrix) (*Matrix, error) {
 	if a.cols != b.rows {
 		return nil, fmt.Errorf("%w: MatMul %dx%d × %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
 	}
 	out := New(a.rows, b.cols)
-	matMulDispatch(out, a, b, true)
+	matMulRows(out, a, b, true)
 	return out, nil
 }
 
@@ -222,36 +218,19 @@ func MatMulInto(dst, a, b *Matrix) error {
 		return fmt.Errorf("%w: MatMulInto dst %dx%d, want %dx%d", ErrShape, dst.rows, dst.cols, a.rows, b.cols)
 	}
 	dst.Zero()
-	matMulDispatch(dst, a, b, true)
+	matMulRows(dst, a, b, true)
 	return nil
-}
-
-// matMulDispatch accumulates out += a × b (see matMulRows for skipZeros),
-// fanning the product out across row blocks when it is large enough and the
-// shared sweep budget grants workers. The kernel closure is built only
-// inside the granted branch, so the serial hot path — small products,
-// drained budget, parallelism 1 — allocates nothing.
-func matMulDispatch(out, a, b *Matrix, skipZeros bool) {
-	rows := a.rows
-	if workers := planWorkers(rows, rows*a.cols*b.cols); workers > 1 {
-		if granted := sweep.AcquireWorkers(workers - 1); granted > 0 {
-			runRowBlocks(rows, granted+1, func(lo, hi int) { matMulRows(out, a, b, lo, hi, skipZeros) })
-			sweep.ReleaseWorkers(granted)
-			return
-		}
-	}
-	matMulRows(out, a, b, 0, rows, skipZeros)
 }
 
 // MatMulT returns a × bᵀ: each element is the dot product of an a row and a
 // b row, every product added in ascending k (no zero skip). It transposes b
-// and runs the row-update kernel of MatMul, with the same parallel path.
+// and runs the row-update kernel of MatMul.
 func MatMulT(a, b *Matrix) (*Matrix, error) {
 	if a.cols != b.cols {
 		return nil, fmt.Errorf("%w: MatMulT %dx%d × (%dx%d)ᵀ", ErrShape, a.rows, a.cols, b.rows, b.cols)
 	}
 	out := New(a.rows, b.rows)
-	matMulDispatch(out, a, b.Transpose(), false)
+	matMulRows(out, a, b.Transpose(), false)
 	return out, nil
 }
 
@@ -280,13 +259,12 @@ func MatMulTPreInto(dst, a, bt *Matrix) error {
 		return fmt.Errorf("%w: MatMulTPreInto dst %dx%d, want %dx%d", ErrShape, dst.rows, dst.cols, a.rows, bt.cols)
 	}
 	dst.Zero()
-	matMulDispatch(dst, a, bt, false)
+	matMulRows(dst, a, bt, false)
 	return nil
 }
 
-// TMatMul returns aᵀ × b. The product stays on the calling goroutine: its
-// operands on the training path are per-block minibatch slices that are
-// too small to amortize a fan-out.
+// TMatMul returns aᵀ × b, computed on the calling goroutine like every
+// product in this package.
 func TMatMul(a, b *Matrix) (*Matrix, error) {
 	if a.rows != b.rows {
 		return nil, fmt.Errorf("%w: TMatMul (%dx%d)ᵀ × %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)

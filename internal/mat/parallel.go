@@ -1,83 +1,10 @@
 package mat
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
-
-// parallelism holds the configured worker count for blocked matrix products;
-// 0 selects runtime.GOMAXPROCS(0).
-var parallelism atomic.Int32
-
-// SetParallelism sets the number of goroutines the large matrix products fan
-// out to. n <= 0 restores the default (runtime.GOMAXPROCS(0)); n == 1
-// disables the parallel path entirely. Results are byte-identical at every
-// setting: each output row is computed by exactly one goroutine with the
-// same arithmetic order as the serial loop.
-func SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	parallelism.Store(int32(n))
-}
-
-// Parallelism returns the resolved worker count for blocked matrix products.
-func Parallelism() int {
-	if n := int(parallelism.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// parallelFlopCutoff is the minimum multiply-accumulate count at which the
-// goroutine fan-out pays for itself; below it the spawn/join overhead
-// dominates. 1<<16 ≈ a 64×64 × 64×16 product.
-const parallelFlopCutoff = 1 << 16
-
-// planWorkers returns how many workers a product with the given output rows
-// and multiply-accumulate count should try to fan out over; 1 means run
-// serial. The count is clamped by flops so every spawned worker owns at
-// least one cutoff's worth of work — a product barely over the line runs
-// serially instead of waking workers for sub-microsecond row blocks.
-func planWorkers(rows, flops int) int {
-	if flops < parallelFlopCutoff {
-		return 1
-	}
-	workers := Parallelism()
-	if limit := flops / parallelFlopCutoff; workers > limit {
-		workers = limit
-	}
-	if workers > rows {
-		workers = rows
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// runRowBlocks splits [0, rows) into one contiguous block per worker and
-// runs body on each block concurrently, block 0 on the calling goroutine.
-// body must only write state owned by its row range. Callers hold the sweep
-// grant, so nested parallelism never multiplies: when all budget tokens are
-// held by concurrent sweep cells (the warm-cache inference fan-out), the
-// product runs serially on the calling goroutine, and total worker
-// goroutines stay at ~budget instead of budget². Every row is computed with
-// the same arithmetic order regardless of blocking, so results are
-// byte-identical at any grant.
-func runRowBlocks(rows, workers int, body func(lo, hi int)) {
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		lo := rows * w / workers
-		hi := rows * (w + 1) / workers
-		//apslint:allow budgetguard workers was sized by the caller's sweep grant (see planWorkers), so these launches are budget-correct
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
-	}
-	body(0, rows/workers) // block 0 runs on the calling goroutine
-	wg.Wait()
-}
+// SetParallelism once set how many goroutines the large matrix products fan
+// out to.
+//
+// Deprecated: every product runs on its calling goroutine; the only
+// parallel layer is internal/sweep (sweep.Map and the worker grants of the
+// nn trainer). SetParallelism does nothing and remains so callers that set
+// it keep building.
+func SetParallelism(n int) {}

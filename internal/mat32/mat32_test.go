@@ -2,10 +2,10 @@ package mat32
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/mat"
-	"repro/internal/sweep"
 )
 
 // naiveMatMul is the reference ijk product the unrolled kernels must match
@@ -93,31 +93,50 @@ func TestMatMulTMatchesTranspose(t *testing.T) {
 	}
 }
 
-// TestMatMulParallelByteIdentical pins the determinism contract: a product
-// big enough to fan out produces the same bits at every parallelism setting.
-func TestMatMulParallelByteIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randMatrix(rng, 128, 96)
-	b := randMatrix(rng, 96, 80)
+// allocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1) pin,
+// which would resolve the default worker budget to one and so hide any
+// goroutine fan-out: the mean heap allocations over runs calls of f, after
+// one warm-up call, truncated to an integer as AllocsPerRun does.
+func allocsPerRun(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
+}
 
-	mat.SetParallelism(1)
-	serial := New(128, 80)
-	if err := MatMulInto(serial, a, b); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		mat.SetParallelism(workers)
-		sweep.SetBudget(workers)
-		got := New(128, 80)
-		if err := MatMulInto(got, a, b); err != nil {
-			t.Fatal(err)
+// TestMatMulZeroAlloc pins that the f64 and f32 products allocate nothing
+// under the default worker budget (all cores): every product runs on its
+// calling goroutine, above and below the 1<<16 multiply-accumulate size
+// that once switched on a row-block fan-out.
+func TestMatMulZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, s := range [][3]int{{128, 96, 80}, {16, 32, 24}} {
+		m, k, n := s[0], s[1], s[2]
+		a, b, bt := mat.RandNormal(rng, m, k, 1), mat.RandNormal(rng, k, n, 1), mat.RandNormal(rng, n, k, 1)
+		a32, b32, bt32 := FromF64(a), FromF64(b), FromF64(bt)
+		out, out32 := mat.New(m, n), New(m, n)
+		for _, c := range []struct {
+			name string
+			run  func() error
+		}{
+			{"mat.MatMulInto", func() error { return mat.MatMulInto(out, a, b) }},
+			{"mat.MatMulTPreInto", func() error { return mat.MatMulTPreInto(out, a, b) }},
+			{"mat32.MatMulInto", func() error { return MatMulInto(out32, a32, b32) }},
+			{"mat32.MatMulTInto", func() error { return MatMulTInto(out32, a32, bt32) }},
+		} {
+			if allocs := allocsPerRun(10, func() {
+				if err := c.run(); err != nil {
+					t.Fatalf("%s %dx%d·%dx%d: %v", c.name, m, k, k, n, err)
+				}
+			}); allocs != 0 {
+				t.Errorf("%s %dx%d·%dx%d allocates %v objects per run", c.name, m, k, k, n, allocs)
+			}
 		}
-		if !matricesEqual(got, serial) {
-			t.Fatalf("parallel(%d) product differs from serial", workers)
-		}
 	}
-	mat.SetParallelism(0)
-	sweep.SetBudget(0)
 }
 
 func TestAddBiasAndApply(t *testing.T) {

@@ -6,10 +6,9 @@
 // auto-vectorize.
 //
 // The package keeps the contracts of mat that inference relies on: matrices
-// are row-major, products above a flop cutoff split into row blocks across
-// goroutines drawn from the shared sweep worker budget, and every output row
-// is computed with the same arithmetic order regardless of the split — so
-// results are byte-identical at any worker count.
+// are row-major, every product runs on its calling goroutine, and every
+// output row accumulates in one fixed arithmetic order, so results are
+// byte-identical from run to run.
 package mat32
 
 import (
@@ -122,10 +121,8 @@ func (m *Matrix) Zero() {
 }
 
 // MatMulInto computes dst = a × b. Every element of dst is overwritten; dst
-// must not alias a or b. Products above the flop cutoff split into row
-// blocks across goroutines drawn from the shared sweep budget; each output
-// row keeps its serial accumulation order, so the result is byte-identical
-// at any worker count.
+// must not alias a or b. Each output row accumulates in ascending k, so the
+// result is byte-identical from run to run.
 func MatMulInto(dst, a, b *Matrix) error {
 	if a.cols != b.rows {
 		return fmt.Errorf("%w: MatMulInto %dx%d × %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
@@ -133,7 +130,7 @@ func MatMulInto(dst, a, b *Matrix) error {
 	if dst.rows != a.rows || dst.cols != b.cols {
 		return fmt.Errorf("%w: MatMulInto dst %dx%d, want %dx%d", ErrShape, dst.rows, dst.cols, a.rows, b.cols)
 	}
-	matMulDispatch(dst, a, b)
+	matMulRows(dst, a, b)
 	return nil
 }
 
@@ -143,13 +140,12 @@ func MatMul(a, b *Matrix) (*Matrix, error) {
 		return nil, fmt.Errorf("%w: MatMul %dx%d × %dx%d", ErrShape, a.rows, a.cols, b.rows, b.cols)
 	}
 	out := New(a.rows, b.cols)
-	matMulDispatch(out, a, b)
+	matMulRows(out, a, b)
 	return out, nil
 }
 
 // MatMulTInto computes dst = a × bᵀ. Every element of dst is overwritten;
-// dst must not alias a or b. Same parallel split and determinism contract as
-// MatMulInto.
+// dst must not alias a or b. Same determinism contract as MatMulInto.
 func MatMulTInto(dst, a, b *Matrix) error {
 	if a.cols != b.cols {
 		return fmt.Errorf("%w: MatMulTInto %dx%d × (%dx%d)ᵀ", ErrShape, a.rows, a.cols, b.rows, b.cols)
@@ -157,7 +153,7 @@ func MatMulTInto(dst, a, b *Matrix) error {
 	if dst.rows != a.rows || dst.cols != b.rows {
 		return fmt.Errorf("%w: MatMulTInto dst %dx%d, want %dx%d", ErrShape, dst.rows, dst.cols, a.rows, b.rows)
 	}
-	matMulTDispatch(dst, a, b)
+	matMulTRows(dst, a, b)
 	return nil
 }
 

@@ -162,11 +162,6 @@ func TestInferModelZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race (sync.Pool sheds items)")
 	}
-	// Zero-alloc is a property of the compute path itself; pin the kernels to
-	// the serial path so a goroutine fan-out (which necessarily allocates)
-	// doesn't obscure it.
-	mat.SetParallelism(1)
-	defer mat.SetParallelism(0)
 	rng := rand.New(rand.NewSource(13))
 	for name, m := range freezeTestModels(t, rng) {
 		im, err := m.Freeze()

@@ -53,9 +53,9 @@ type blockGrads struct {
 // NewTrainer builds a data-parallel trainer for model. workers caps the
 // shard fan-out: <= 0 selects runtime.GOMAXPROCS(0), 1 disables parallel
 // execution entirely. Extra workers beyond the calling goroutine each hold
-// one token of the shared sweep budget, so nested parallel layers (sweep
-// cells training monitors, matmul row blocks) never multiply past the
-// process-wide cap. Trained weights are byte-identical at every setting.
+// one token of the shared sweep budget, so sweep cells that train monitors
+// never multiply past the process-wide cap. Trained weights are
+// byte-identical at every setting.
 func NewTrainer(model *Model, opt Optimizer, workers int) *Trainer {
 	return &Trainer{model: model, opt: opt, params: model.Params(), workers: workers}
 }

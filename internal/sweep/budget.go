@@ -7,14 +7,15 @@ import (
 
 // The shared worker budget is a process-wide token pool that caps the
 // TOTAL number of extra worker goroutines across nested parallel layers —
-// grid sweeps (Map) and the blocked matrix products inside their cells.
-// Without it the two layers multiply: P concurrent sweep cells each
-// fanning matrix products out P ways spawn up to P² goroutines. With it,
-// a layer asks for tokens before spawning and degrades to fewer workers
-// (or fully serial execution) when the pool is drained, so a machine runs
-// at most ~budget workers no matter how the layers nest. This matters
-// most on warm-cache runs, which skip training and jump straight to the
-// inference fan-out where both layers are active at once.
+// grid sweeps (Map, which can nest: an experiment cell may evaluate
+// episodes through another Map) and the nn trainer's row blocks, which
+// lazy monitor training runs inside sweep cells. Without it the layers
+// multiply: P concurrent sweep cells each training with P workers spawn up
+// to P² goroutines. With it, a layer asks for tokens before spawning and
+// degrades to fewer workers (or fully serial execution) when the pool is
+// drained, so a machine runs at most ~budget workers no matter how the
+// layers nest. Matrix products never fan out; they run on whichever
+// goroutine holds the work.
 //
 // Acquisition is non-blocking — a layer that gets no tokens runs inline
 // on its calling goroutine — so nested acquires can never deadlock, and
